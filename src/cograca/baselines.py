@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import VisitRecord
-from .numerics import sym_eig
+from .numerics import _derive_seed, _lead_signs, sym_eig
 
 __all__ = [
     "LinearReducer",
@@ -59,14 +59,6 @@ class LinearReducer:
         return np.asarray(reduced, dtype=np.float64) @ self.components + self.mean
 
 
-def _fix_row_signs(rows: np.ndarray) -> np.ndarray:
-    rows = rows.copy()
-    lead = np.argmax(np.abs(rows), axis=1)
-    signs = np.sign(rows[np.arange(rows.shape[0]), lead])
-    signs[signs == 0] = 1.0
-    return rows * signs[:, None]
-
-
 def pca_fit(
     data: np.ndarray,
     variance_threshold: float = 0.95,
@@ -93,10 +85,11 @@ def pca_fit(
         n_components = int(np.searchsorted(np.cumsum(ratios), variance_threshold - 1e-12) + 1)
     if not 1 <= n_components <= len(svals):
         raise ValueError(f"component count {n_components} outside [1, {len(svals)}]")
+    axes = vt[:n_components]
     return LinearReducer(
         kind="pca",
         mean=mean,
-        components=_fix_row_signs(vt[:n_components]),
+        components=axes * _lead_signs(axes.T)[:, None],
         explained_variance_ratio=ratios[:n_components],
     )
 
@@ -238,13 +231,9 @@ def classical_cca(x: np.ndarray, y: np.ndarray, n_pairs: int | None = None) -> C
     iy = _inv_sqrt(syy, "second view")
     u, svals, vt = np.linalg.svd(ix @ sxy @ iy)
     # only the first n_pairs singular pairs are kept; fix their signs jointly
-    u = u[:, :n_pairs].copy()
-    vt = vt[:n_pairs].copy()
-    lead = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[lead, np.arange(n_pairs)])
-    signs[signs == 0] = 1.0
-    u *= signs
-    vt *= signs[:, None]
+    signs = _lead_signs(u[:, :n_pairs])
+    u = u[:, :n_pairs] * signs
+    vt = vt[:n_pairs] * signs[:, None]
     return CcaModel(
         x_weights=ix @ u,
         y_weights=iy @ vt.T,
@@ -279,10 +268,6 @@ def _zscore_train(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     std = train.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
     return mean, std
-
-
-def _derive_seed(seed: int, key: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(key,)).generate_state(1)[0])
 
 
 def baseline_pipeline(

@@ -25,11 +25,14 @@ from .data import (
     DataValidationError,
     SyntheticConfig,
     atomic_write_bytes,
+    format_field,
     load_dataset,
     load_labels,
     load_model,
+    read_csv,
     save_model,
     synthesize_to_disk,
+    write_csv,
 )
 from .evaluation import (
     cross_validated_bacc,
@@ -76,28 +79,6 @@ class _Formatter(argparse.RawDescriptionHelpFormatter):
         super().__init__(prog, width=96, max_help_position=30)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"missing input file: {path}")
-    lines = path.read_text().splitlines()
-    if not lines:
-        raise DataValidationError(f"{path}: empty file")
-    return lines[0].split(","), [line.split(",") for line in lines[1:]]
-
-
 def _write_json(path: Path, payload: dict) -> None:
     atomic_write_bytes(path, (json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n").encode())
 
@@ -114,19 +95,19 @@ def _jsonable(obj):
     return obj
 
 
-def _write_run_record(out_dir: Path, command: str, config: dict, seed, outputs: list[str],
-                      t0: float, extra: dict | None = None) -> None:
-    record = {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "version": __version__,
-        "outputs": sorted(outputs),
-        "duration_seconds": time.monotonic() - t0,
+def _run_config(args) -> dict:
+    """The `config` of run.json: every parsed flag except --out, with the
+    path arguments made absolute. rebuild_argv turns it back into argv."""
+    config = {
+        key: value for key, value in vars(args).items()
+        if key not in ("command", "evaluate_command", "out") and not key.startswith("_")
     }
-    if extra:
-        record.update(extra)
-    _write_json(out_dir / "run.json", record)
+    for key in ("data", "run", "representations"):
+        if key in config:
+            config[key] = os.path.abspath(config[key])
+    if "dirs" in config:
+        config["dirs"] = [os.path.abspath(d) for d in config["dirs"]]
+    return config
 
 
 def _load_run_record(run_dir: Path) -> dict:
@@ -152,7 +133,7 @@ def rebuild_argv(record: dict, out: str) -> list[str]:
             if value:
                 argv.append(flag)
             continue
-        argv.extend([flag, _fmt(value)])
+        argv.extend([flag, format_field(value)])
     argv.extend(["--out", out])
     argv.extend(positional)
     return argv
@@ -167,11 +148,11 @@ def _write_representations(path: Path, keys, fold_of, tags, values: np.ndarray) 
         [s, v, int(f), t] + [x for x in vec]
         for (s, v), f, t, vec in zip(keys, fold_of, tags, values)
     ]
-    _write_csv(path, _fingerprint_header(values.shape[1]), rows)
+    write_csv(path, rows, header=_fingerprint_header(values.shape[1]))
 
 
 def _read_representations(path: Path):
-    header, raw = _read_csv(path)
+    header, raw = read_csv(path)
     if header[:4] != ["subject_id", "visit", "fold", "tag"]:
         raise DataValidationError(
             f"{path}: header must start with subject_id,visit,fold,tag"
@@ -248,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="covariance ridge: 'scaled' or a float (default scaled)")
     p_train.add_argument("--seed", type=int, default=0, help="training seed (default 0)")
     p_train.add_argument("--folds", type=int, default=5, help="cross-validation folds (default 5)")
-    p_train.add_argument("--jobs", type=int, default=1,
-                         help="train folds concurrently with N workers (default 1)")
 
     p_fp = sub.add_parser(
         "fingerprint", formatter_class=_Formatter,
@@ -373,9 +352,7 @@ def full_help_text() -> str:
     return "".join(parts)
 
 
-def _cmd_synth(args) -> int:
-    t0 = time.monotonic()
-    out = Path(args.out)
+def _cmd_synth(args, out: Path) -> dict:
     cfg = SyntheticConfig(
         subjects=args.subjects,
         two_visit_fraction=args.two_visit_fraction,
@@ -392,15 +369,8 @@ def _cmd_synth(args) -> int:
     outputs = ["manifest.csv", "labels.csv", "latents.csv"] + [
         f"connectivity_{r.subject_id}_v{r.visit}.csv" for r in records
     ]
-    config = {
-        "seed": args.seed, "subjects": args.subjects, "rois": args.rois,
-        "d_cog": args.d_cog, "two_visit_fraction": args.two_visit_fraction,
-        "latent_dim": args.latent_dim, "signal": args.signal, "coupling": args.coupling,
-        "noise": args.noise, "planted_strength": args.planted_strength,
-    }
-    _write_run_record(out, "synth", config, args.seed, outputs, t0)
     print(f"wrote {len(records)} visits to {out}")
-    return 0
+    return {"outputs": outputs}
 
 
 def _train_config(args) -> TrainConfig:
@@ -428,41 +398,26 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _cmd_train(args) -> int:
-    t0 = time.monotonic()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_train(args, out: Path) -> dict:
     cfg = _train_config(args)
     records = load_dataset(Path(args.data))
-    folds, models = cross_validate(records, cfg, jobs=args.jobs)
+    folds, models = cross_validate(records, cfg)
     outputs = []
     for fold_idx, model in enumerate(models):
         model_name = f"fold_{fold_idx}.cgmodel"
         save_model(model, out / model_name)
         trace_name = f"loss_trace_fold_{fold_idx}.csv"
-        rows = [
-            [epoch] + [v for v in model.loss_trace[epoch]]
-            for epoch in range(model.loss_trace.shape[0])
-        ]
-        _write_csv(out / trace_name, ["epoch", "corr", "ind", "mul", "total"], rows)
+        write_csv(
+            out / trace_name,
+            [[epoch, *losses] for epoch, losses in enumerate(model.loss_trace.tolist())],
+            header=["epoch", "corr", "ind", "mul", "total"],
+        )
         outputs.extend([model_name, trace_name])
-    config = {
-        "data": os.path.abspath(args.data), "epochs": args.epochs,
-        "learning_rate": args.learning_rate, "hidden_dim": args.hidden_dim,
-        "r": args.r, "d_r": args.d_r, "temperature": args.temperature,
-        "lambda1": args.lambda1, "lambda2": args.lambda2, "ridge": args.ridge,
-        "seed": args.seed, "folds": args.folds,
-    }
-    _write_run_record(out, "train", config, args.seed, outputs, t0,
-                      extra={"model_kind": cfg.model_kind})
     print(f"trained {len(models)} fold models ({cfg.model_kind}) into {out}")
-    return 0
+    return {"outputs": outputs, "model_kind": cfg.model_kind}
 
 
-def _cmd_fingerprint(args) -> int:
-    t0 = time.monotonic()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_fingerprint(args, out: Path) -> dict:
     run_record = _load_run_record(Path(args.run))
     train_cfg = run_record["config"]
     records = load_dataset(Path(args.data))
@@ -481,19 +436,11 @@ def _cmd_fingerprint(args) -> int:
         [fp.tag for fp in fps],
         values,
     )
-    config = {
-        "data": os.path.abspath(args.data), "run": os.path.abspath(args.run),
-        "mode": args.mode,
-    }
-    _write_run_record(out, "fingerprint", config, run_record.get("seed"), ["fingerprints.csv"], t0)
     print(f"wrote fingerprints for {len(records)} visits to {out / 'fingerprints.csv'}")
-    return 0
+    return {"outputs": ["fingerprints.csv"], "seed": run_record.get("seed")}
 
 
-def _cmd_baseline(args) -> int:
-    t0 = time.monotonic()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_baseline(args, out: Path) -> dict:
     kind = _CLI_KIND_MAP[args.kind]
     records = load_dataset(Path(args.data))
     folds = make_subject_folds([r.subject_id for r in records], args.folds, args.seed)
@@ -511,33 +458,25 @@ def _cmd_baseline(args) -> int:
         [kind] * len(records),
         reps,
     )
-    config = {
-        "kind": args.kind, "data": os.path.abspath(args.data),
-        "n_components": args.n_components, "variance_threshold": args.variance_threshold,
-        "seed": args.seed, "folds": args.folds,
-    }
-    _write_run_record(out, "baseline", config, args.seed, ["representations.csv"], t0)
     print(f"wrote {kind} representations to {out / 'representations.csv'}")
-    return 0
+    return {"outputs": ["representations.csv"]}
 
 
-def _cmd_evaluate_similarity(args) -> int:
-    t0 = time.monotonic()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_evaluate_similarity(args, out: Path) -> dict:
     keys, _, values = _read_representations(Path(args.representations))
     report = similarity_analysis(values, [s for s, _ in keys])
-    _write_csv(
+    write_csv(
         out / "similarity_matrix.csv",
-        [f"v{i + 1}" for i in range(values.shape[0])],
         report.matrix,
+        header=[f"v{i + 1}" for i in range(values.shape[0])],
     )
     hist_rows = [
         [report.bin_edges[i], report.bin_edges[i + 1], int(report.intra_counts[i]),
          int(report.inter_counts[i])]
         for i in range(len(report.intra_counts))
     ]
-    _write_csv(out / "histogram.csv", ["bin_left", "bin_right", "intra_count", "inter_count"], hist_rows)
+    write_csv(out / "histogram.csv", hist_rows,
+              header=["bin_left", "bin_right", "intra_count", "inter_count"])
     metrics = {
         "n_intra_pairs": int(report.intra.size),
         "n_inter_pairs": int(report.inter.size),
@@ -549,13 +488,8 @@ def _cmd_evaluate_similarity(args) -> int:
         "inter_mean": float(report.inter.mean()),
     }
     _write_json(out / "metrics.json", metrics)
-    config = {"representations": os.path.abspath(args.representations)}
-    _write_run_record(
-        out, "evaluate similarity", config, None,
-        ["similarity_matrix.csv", "histogram.csv", "metrics.json"], t0,
-    )
     print(f"similarity metrics written to {out / 'metrics.json'}")
-    return 0
+    return {"outputs": ["similarity_matrix.csv", "histogram.csv", "metrics.json"]}
 
 
 def _join_labels(keys, data_dir: Path, task: str) -> np.ndarray:
@@ -572,10 +506,7 @@ def _folds_from_column(fold_of: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(fold_of == f) for f in np.unique(fold_of)]
 
 
-def _cmd_evaluate_classify(args) -> int:
-    t0 = time.monotonic()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_evaluate_classify(args, out: Path) -> dict:
     keys, fold_of, values = _read_representations(Path(args.representations))
     y = _join_labels(keys, Path(args.data), args.task)
     baccs = cross_validated_bacc(
@@ -590,21 +521,12 @@ def _cmd_evaluate_classify(args) -> int:
         "bacc_per_seed": [float(b) for b in baccs],
     }
     _write_json(out / "metrics.json", metrics)
-    config = {
-        "representations": os.path.abspath(args.representations),
-        "data": os.path.abspath(args.data), "task": args.task,
-        "repeats": args.repeats, "epochs": args.epochs, "seed": args.seed,
-    }
-    _write_run_record(out, "evaluate classify", config, args.seed, ["metrics.json"], t0)
     print(f"balanced accuracy {metrics['bacc_mean']:.4f} +/- {metrics['bacc_sd']:.4f} "
           f"({args.repeats} seeds) written to {out / 'metrics.json'}")
-    return 0
+    return {"outputs": ["metrics.json"]}
 
 
-def _cmd_evaluate_attribute(args) -> int:
-    t0 = time.monotonic()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_evaluate_attribute(args, out: Path) -> dict:
     keys, fold_of, values = _read_representations(Path(args.representations))
     y = _join_labels(keys, Path(args.data), args.task)
     d = values.shape[1]
@@ -619,38 +541,26 @@ def _cmd_evaluate_attribute(args) -> int:
             report = shapley_attribution(clf, values[i], baseline)
             rows.append([keys[i][0], keys[i][1], fold_idx] + [v for v in report.values])
             abs_sum += np.abs(report.values)
-    _write_csv(
+    write_csv(
         out / "attribution.csv",
-        ["subject_id", "visit", "fold"] + [f"shap_{i + 1}" for i in range(d)],
         rows,
+        header=["subject_id", "visit", "fold"] + [f"shap_{i + 1}" for i in range(d)],
     )
     mean_abs = abs_sum / len(rows)
     order = np.argsort(-mean_abs, kind="stable")
-    _write_csv(
+    write_csv(
         out / "attribution_summary.csv",
-        ["rank", "feature", "mean_abs_shapley"],
         [[rank + 1, int(idx) + 1, mean_abs[idx]] for rank, idx in enumerate(order)],
+        header=["rank", "feature", "mean_abs_shapley"],
     )
     metrics = {"top_features": [int(i) + 1 for i in order[:5]],
                "mean_abs_shapley": [float(v) for v in mean_abs]}
     _write_json(out / "metrics.json", metrics)
-    config = {
-        "representations": os.path.abspath(args.representations),
-        "data": os.path.abspath(args.data), "task": args.task,
-        "epochs": args.epochs, "seed": args.seed,
-    }
-    _write_run_record(
-        out, "evaluate attribute", config, args.seed,
-        ["attribution.csv", "attribution_summary.csv", "metrics.json"], t0,
-    )
     print(f"attribution tables written to {out}")
-    return 0
+    return {"outputs": ["attribution.csv", "attribution_summary.csv", "metrics.json"]}
 
 
-def _cmd_evaluate_interpret(args) -> int:
-    t0 = time.monotonic()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_evaluate_interpret(args, out: Path) -> dict:
     try:
         components = [int(c) for c in args.components.split(",") if c != ""]
     except ValueError:
@@ -669,32 +579,21 @@ def _cmd_evaluate_interpret(args) -> int:
     held_out = set(folds[args.fold].tolist())
     train_records = [r for i, r in enumerate(records) if i not in held_out]
     tables = interpret_components(model, train_records, components)
-    _write_csv(
+    write_csv(
         out / "cognitive_loadings.csv",
-        ["component", "rank", "cognitive_index", "abs_loading", "loading"],
         tables.cognitive_loadings,
+        header=["component", "rank", "cognitive_index", "abs_loading", "loading"],
     )
-    _write_csv(
+    write_csv(
         out / "edge_importance.csv",
-        ["component", "rank", "node_p", "node_q", "importance"],
         tables.edge_importance,
-    )
-    config = {
-        "data": os.path.abspath(args.data), "run": os.path.abspath(args.run),
-        "components": args.components, "fold": args.fold,
-    }
-    _write_run_record(
-        out, "evaluate interpret", config, None,
-        ["cognitive_loadings.csv", "edge_importance.csv"], t0,
+        header=["component", "rank", "node_p", "node_q", "importance"],
     )
     print(f"interpretation tables written to {out}")
-    return 0
+    return {"outputs": ["cognitive_loadings.csv", "edge_importance.csv"]}
 
 
-def _cmd_report(args) -> int:
-    t0 = time.monotonic()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_report(args, out: Path) -> dict:
     collected = {}
     for root in args.dirs:
         root_path = Path(root)
@@ -703,25 +602,22 @@ def _cmd_report(args) -> int:
         for metrics in sorted(root_path.rglob("metrics.json")):
             collected[str(metrics.parent)] = json.loads(metrics.read_text())
     _write_json(out / "report.json", collected)
-    config = {"dirs": [os.path.abspath(d) for d in args.dirs]}
-    _write_run_record(out, "report", config, None, ["report.json"], t0)
     print(f"aggregated {len(collected)} metrics files into {out / 'report.json'}")
-    return 0
+    return {"outputs": ["report.json"]}
 
 
+# Each handler writes its artifacts into the output directory and returns
+# the run.json fields it owns: "outputs", plus any field it overrides.
 _DISPATCH = {
     "synth": _cmd_synth,
     "train": _cmd_train,
     "fingerprint": _cmd_fingerprint,
     "baseline": _cmd_baseline,
+    "evaluate similarity": _cmd_evaluate_similarity,
+    "evaluate classify": _cmd_evaluate_classify,
+    "evaluate attribute": _cmd_evaluate_attribute,
+    "evaluate interpret": _cmd_evaluate_interpret,
     "report": _cmd_report,
-}
-
-_EVALUATE_DISPATCH = {
-    "similarity": _cmd_evaluate_similarity,
-    "classify": _cmd_evaluate_classify,
-    "attribute": _cmd_evaluate_attribute,
-    "interpret": _cmd_evaluate_interpret,
 }
 
 
@@ -749,10 +645,24 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError:
             _error(2, f"COGRACA_SEED must be an integer, got {env_seed!r}")
             return 2
+    command = args.command
+    if command == "evaluate":
+        command += " " + args.evaluate_command
     try:
-        if args.command == "evaluate":
-            return _EVALUATE_DISPATCH[args.evaluate_command](args)
-        return _DISPATCH[args.command](args)
+        t0 = time.monotonic()
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        record = {
+            "command": command,
+            "config": _run_config(args),
+            "seed": getattr(args, "seed", None),
+            "version": __version__,
+        }
+        record.update(_DISPATCH[command](args, out))
+        record["outputs"] = sorted(record["outputs"])
+        record["duration_seconds"] = time.monotonic() - t0
+        _write_json(out / "run.json", record)
+        return 0
     except FileNotFoundError as exc:
         _error(3, exc)
         return 3

@@ -27,6 +27,9 @@ __all__ = [
     "GroundTruth",
     "load_dataset",
     "load_labels",
+    "format_field",
+    "write_csv",
+    "read_csv",
     "generate_synthetic",
     "synthesize_to_disk",
     "save_model",
@@ -57,15 +60,51 @@ class VisitRecord:
         object.__setattr__(self, "cognition", cog)
 
 
-def _fmt(v: float) -> str:
-    # repr round-trips float64 exactly and is the shortest such form
-    return repr(float(v))
+def format_field(v) -> str:
+    """One CSV field or command-line value: floats with repr, which
+    round-trips float64 exactly and is the shortest such form; anything
+    else with str."""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def write_csv(path: Path, rows, header: list[str] | None = None) -> None:
+    """Write the optional header and then the rows, each field formatted by
+    format_field: comma-separated, unquoted, with Unix line ends and a final
+    newline."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
+        for row in rows:
+            # a numeric array row goes in as Python numbers, which csv writes
+            # as format_field would (str of a float is its repr), and faster
+            writer.writerow(row.tolist() if isinstance(row, np.ndarray) else map(format_field, row))
+
+
+def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    """Read a CSV whose first row is its header. Returns (header, rows) as
+    strings; a missing file, an empty file, or a row whose field count
+    differs from the header's (a blank row has none) is rejected."""
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"missing input file: {path}")
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise DataValidationError(f"{path}: empty file")
+    header = rows[0]
+    for rownum, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise DataValidationError(
+                f"{path}: row {rownum}: expected {len(header)} fields, got {len(row)}"
+            )
+    return header, rows[1:]
 
 
 def write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    lines = [",".join(_fmt(v) for v in row) for row in matrix]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, np.atleast_2d(np.asarray(matrix, dtype=np.float64)))
 
 
 def read_matrix_csv(path: Path) -> np.ndarray:
@@ -120,13 +159,7 @@ def load_dataset(root: Path) -> list[VisitRecord]:
     """
     root = Path(root)
     manifest = root / "manifest.csv"
-    if not manifest.is_file():
-        raise FileNotFoundError(f"missing manifest: {manifest}")
-    with open(manifest, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataValidationError(f"{manifest}: empty manifest")
-    header = rows[0]
+    header, rows = read_csv(manifest)
     if header[:3] != ["subject_id", "visit", "connectivity_path"]:
         raise DataValidationError(
             f"{manifest}: header must start with subject_id,visit,connectivity_path"
@@ -137,11 +170,7 @@ def load_dataset(root: Path) -> list[VisitRecord]:
     records: list[VisitRecord] = []
     seen: set[tuple[str, int]] = set()
     v_nodes: int | None = None
-    for rownum, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataValidationError(
-                f"{manifest}: row {rownum}: expected {len(header)} fields, got {len(row)}"
-            )
+    for rownum, row in enumerate(rows, start=2):
         subject = row[0]
         try:
             visit = int(row[1])
@@ -186,22 +215,18 @@ def load_dataset(root: Path) -> list[VisitRecord]:
 
 def load_labels(root: Path, task: str = "attribute") -> dict[tuple[str, int], int]:
     """Read labels.csv and return the named binary label per (subject, visit)."""
-    root = Path(root)
-    path = root / "labels.csv"
-    if not path.is_file():
-        raise FileNotFoundError(f"missing labels file: {path}")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:2] != ["subject_id", "visit"]:
+    path = Path(root) / "labels.csv"
+    header, rows = read_csv(path)
+    if header[:2] != ["subject_id", "visit"]:
         raise DataValidationError(f"{path}: header must start with subject_id,visit")
-    if task not in rows[0]:
+    if task not in header:
         raise DataValidationError(f"{path}: no column named {task!r}")
-    col = rows[0].index(task)
+    col = header.index(task)
     labels: dict[tuple[str, int], int] = {}
-    for rownum, row in enumerate(rows[1:], start=2):
+    for rownum, row in enumerate(rows, start=2):
         try:
             labels[(row[0], int(row[1]))] = int(row[col])
-        except (ValueError, IndexError):
+        except ValueError:
             raise DataValidationError(f"{path}: row {rownum}: malformed label row") from None
     return labels
 
@@ -330,21 +355,23 @@ def synthesize_to_disk(cfg: SyntheticConfig, root: Path) -> tuple[list[VisitReco
     root.mkdir(parents=True, exist_ok=True)
     keys, mats, cogs, truth = _generate_raw(cfg)
     label_of = dict(zip(truth.subject_ids, truth.labels.tolist()))
-    manifest_rows = [
-        ["subject_id", "visit", "connectivity_path"] + [f"cog_{i + 1}" for i in range(cfg.d_cog)]
-    ]
-    label_rows = [["subject_id", "visit", "attribute"]]
+    manifest_rows, label_rows = [], []
     for (subject, visit), mat, cog in zip(keys, mats, cogs):
         name = f"connectivity_{subject}_v{visit}.csv"
         write_matrix_csv(root / name, mat)
-        manifest_rows.append([subject, str(visit), name] + [_fmt(v) for v in cog])
-        label_rows.append([subject, str(visit), str(label_of[subject])])
-    (root / "manifest.csv").write_text("\n".join(",".join(r) for r in manifest_rows) + "\n")
-    (root / "labels.csv").write_text("\n".join(",".join(r) for r in label_rows) + "\n")
-    latent_rows = [["subject_id"] + [f"z_{i + 1}" for i in range(cfg.latent_dim)]]
-    for s, subject in enumerate(truth.subject_ids):
-        latent_rows.append([subject] + [_fmt(v) for v in truth.latents[s]])
-    (root / "latents.csv").write_text("\n".join(",".join(r) for r in latent_rows) + "\n")
+        manifest_rows.append([subject, visit, name] + cog.tolist())
+        label_rows.append([subject, visit, label_of[subject]])
+    write_csv(
+        root / "manifest.csv", manifest_rows,
+        header=["subject_id", "visit", "connectivity_path"]
+        + [f"cog_{i + 1}" for i in range(cfg.d_cog)],
+    )
+    write_csv(root / "labels.csv", label_rows, header=["subject_id", "visit", "attribute"])
+    write_csv(
+        root / "latents.csv",
+        [[subject] + z.tolist() for subject, z in zip(truth.subject_ids, truth.latents)],
+        header=["subject_id"] + [f"z_{i + 1}" for i in range(cfg.latent_dim)],
+    )
     records = [
         VisitRecord(subject_id=s, visit=v, graph=build_graph(m), cognition=c)
         for (s, v), m, c in zip(keys, mats, cogs)
@@ -402,11 +429,8 @@ def save_model(model, path: Path) -> None:
 
 
 def load_model(path: Path):
-    """Inverse of save_model; rejects wrong magic, version, or truncation."""
-    from .pipeline import TrainConfig, TrainedModel  # deferred to avoid an import cycle
-    from .encoder import EncoderParams
-    from .gcca import GccaSolution, PreprocessStats
-
+    """Inverse of save_model; rejects wrong magic, version, truncation, or a
+    header that lacks a field or array."""
     blob = Path(path).read_bytes()
     if len(blob) < 12 or blob[:4] != _MAGIC:
         raise DataValidationError(f"{path}: not a model file (bad magic)")
@@ -422,7 +446,17 @@ def load_model(path: Path):
             f"{path}: unsupported format version {header.get('version')!r}, "
             f"expected {_FORMAT_VERSION}"
         )
-    offset = 12 + header_len
+    try:
+        return _decode_model(path, header, blob, 12 + header_len)
+    except KeyError as exc:
+        raise DataValidationError(f"{path}: model header is missing {exc}") from None
+
+
+def _decode_model(path: Path, header: dict, blob: bytes, offset: int):
+    from .pipeline import TrainConfig, TrainedModel  # deferred to avoid an import cycle
+    from .encoder import EncoderParams
+    from .gcca import GccaSolution, PreprocessStats
+
     values: dict[str, np.ndarray] = {}
     for spec in header["arrays"]:
         shape = tuple(spec["shape"])

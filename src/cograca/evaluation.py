@@ -13,8 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import encode_batch
-from .numerics import AdamState, MannWhitneyResult, adam_step, mann_whitney_u, wasserstein_1d
-from .pipeline import TrainedModel
+from .numerics import (
+    AdamState,
+    MannWhitneyResult,
+    _derive_seed,
+    adam_step,
+    mann_whitney_u,
+    wasserstein_1d,
+)
+from .pipeline import TrainedModel, _stack_records
 
 __all__ = [
     "SimilarityReport",
@@ -111,9 +118,7 @@ class MlpClassifier:
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        h1 = _elu(x @ self.w1 + self.b1)
-        h2 = _elu(h1 @ self.w2 + self.b2)
-        return h2 @ self.w3 + self.b3
+        return _mlp_forward(vars(self), x)[0]
 
     def decision_value(self, x: np.ndarray) -> np.ndarray:
         """Log-odds of class 1 — the scalar the attribution explains."""
@@ -130,6 +135,26 @@ def _elu(x: np.ndarray) -> np.ndarray:
 
 def _elu_grad(pre: np.ndarray, post: np.ndarray) -> np.ndarray:
     return np.where(pre > 0.0, 1.0, post + 1.0)
+
+
+_KEEP = 0.5  # dropout keep probability of both hidden layers
+
+
+def _mlp_forward(weights, x: np.ndarray, masks=None):
+    """The 64/32 ELU forward pass over the w1..b3 entries of `weights`.
+
+    With dropout masks (one boolean array per hidden layer) each hidden
+    activation is masked and scaled by 1/keep, as in training; without them
+    it is the inference path. Returns the logits and the per-layer
+    (pre-activation, activation, layer output) caches the backward pass uses.
+    """
+    pre1 = x @ weights["w1"] + weights["b1"]
+    act1 = _elu(pre1)
+    h1 = act1 if masks is None else act1 * masks[0] / _KEEP
+    pre2 = h1 @ weights["w2"] + weights["b2"]
+    act2 = _elu(pre2)
+    h2 = act2 if masks is None else act2 * masks[1] / _KEEP
+    return h2 @ weights["w3"] + weights["b3"], ((pre1, act1, h1), (pre2, act2, h2))
 
 
 def train_mlp(
@@ -166,17 +191,12 @@ def train_mlp(
     }
     opt = {k: AdamState.for_params(v, lr=learning_rate) for k, v in weights.items()}
     onehot = np.eye(2)[y]
-    keep = 0.5
     for _ in range(epochs):
-        mask1 = rng.random((n, 64)) < keep
-        mask2 = rng.random((n, 32)) < keep
-        pre1 = x @ weights["w1"] + weights["b1"]
-        act1 = _elu(pre1)
-        h1 = act1 * mask1 / keep
-        pre2 = h1 @ weights["w2"] + weights["b2"]
-        act2 = _elu(pre2)
-        h2 = act2 * mask2 / keep
-        logits = h2 @ weights["w3"] + weights["b3"]
+        mask1 = rng.random((n, 64)) < _KEEP
+        mask2 = rng.random((n, 32)) < _KEEP
+        logits, ((pre1, act1, h1), (pre2, act2, h2)) = _mlp_forward(
+            weights, x, (mask1, mask2)
+        )
         shifted = logits - logits.max(axis=1, keepdims=True)
         expd = np.exp(shifted)
         probs = expd / expd.sum(axis=1, keepdims=True)
@@ -186,12 +206,12 @@ def train_mlp(
             "b3": d_logits.sum(axis=0),
         }
         d_h2 = d_logits @ weights["w3"].T
-        d_act2 = d_h2 * mask2 / keep
+        d_act2 = d_h2 * mask2 / _KEEP
         d_pre2 = d_act2 * _elu_grad(pre2, act2)
         grads["w2"] = h1.T @ d_pre2
         grads["b2"] = d_pre2.sum(axis=0)
         d_h1 = d_pre2 @ weights["w2"].T
-        d_act1 = d_h1 * mask1 / keep
+        d_act1 = d_h1 * mask1 / _KEEP
         d_pre1 = d_act1 * _elu_grad(pre1, act1)
         grads["w1"] = x.T @ d_pre1
         grads["b1"] = d_pre1.sum(axis=0)
@@ -213,10 +233,6 @@ def balanced_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
         float((predictions[labels == c] == c).mean()) for c in classes
     ]
     return float(np.mean(recalls))
-
-
-def _derive_seed(seed: int, key: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(key,)).generate_state(1)[0])
 
 
 def cross_validated_bacc(
@@ -386,16 +402,19 @@ def interpret_components(
     model: TrainedModel, records, components
 ) -> InterpretationTables:
     """Rank cognitive loadings and attention-backed edges for the selected
-    shared components, using the visits the model was trained on."""
+    shared components, using the visits the model was trained on.
+
+    The edge ranking is the same for every component: a component's edge
+    score is one scalar (its total brain-loading mass) times the single
+    shared mean-attention matrix, so only the scale differs between
+    components. The cognitive loadings are component-specific.
+    """
     components = [int(c) for c in components]
     d_r = model.solution.d_r
     for c in components:
         if not 0 <= c < d_r:
             raise ValueError(f"component {c} outside [0, {d_r})")
-    if not records:
-        raise ValueError("need at least one visit to average attention over")
-    feats = np.stack([rec.graph.attributes for rec in records])
-    masks = np.stack([rec.graph.neighbor_mask() for rec in records])
+    feats, masks, _, _ = _stack_records(records)
     _, _, (a1, a2), _ = encode_batch(model.params, feats, masks)
     mean_attention = ((a1 + a2) / 2.0).mean(axis=0)
     sym = (mean_attention + mean_attention.T) / 2.0

@@ -34,13 +34,19 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is nonnegative."""
-    vectors = vectors.copy()
+def _lead_signs(vectors: np.ndarray) -> np.ndarray:
+    """The sign of each column's largest-magnitude entry (first on ties),
+    with 0 counted as +1. Multiplying the columns by it is the package's
+    one sign convention for eigen-, singular and principal vectors."""
     lead = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    return vectors * signs
+    return signs
+
+
+def _derive_seed(seed: int, key: int) -> int:
+    """An independent child seed for sub-run `key` (a fold or a repeat)."""
+    return int(np.random.SeedSequence(seed, spawn_key=(key,)).generate_state(1)[0])
 
 
 def _order_degenerate(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +92,8 @@ def sym_eig(a: np.ndarray) -> EigenDecomposition:
     values, vectors = np.linalg.eigh(sym)
     order = np.argsort(-values, kind="stable")
     values = values[order]
-    vectors = _fix_signs(vectors[:, order])
+    vectors = vectors[:, order]
+    vectors = vectors * _lead_signs(vectors)
     values, vectors = _order_degenerate(values, vectors)
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 

@@ -6,7 +6,6 @@ and fingerprint generation for train and held-out visits.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +23,7 @@ from .gcca import (
     project_fingerprint,
     solve_gcca,
 )
-from .numerics import AdamState, adam_step
+from .numerics import AdamState, _derive_seed, adam_step
 
 __all__ = [
     "TrainConfig",
@@ -256,30 +255,23 @@ def compute_fingerprints(
     ]
 
 
-def _derive_seed(seed: int, key: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(key,)).generate_state(1)[0])
-
-
 def cross_validate(
-    records: list[VisitRecord], cfg: TrainConfig, jobs: int = 1
+    records: list[VisitRecord], cfg: TrainConfig
 ) -> tuple[list[np.ndarray], list[TrainedModel]]:
-    """Train one model per fold on that fold's complement.
+    """Train one model per fold on that fold's complement, one fold after
+    another.
 
     Fold assignment and per-fold seeds derive deterministically from
-    cfg.seed, so reruns reproduce the same models regardless of jobs.
+    cfg.seed, so reruns reproduce the same models.
     """
     folds = make_subject_folds([r.subject_id for r in records], cfg.folds, cfg.seed)
-
-    def run(fold_idx: int) -> TrainedModel:
-        held_out = set(folds[fold_idx].tolist())
+    models = []
+    for fold_idx, test in enumerate(folds):
+        held_out = set(test.tolist())
         train_records = [r for i, r in enumerate(records) if i not in held_out]
-        return train_model(train_records, replace(cfg, seed=_derive_seed(cfg.seed, fold_idx)))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            models = list(pool.map(run, range(cfg.folds)))
-    else:
-        models = [run(f) for f in range(cfg.folds)]
+        models.append(
+            train_model(train_records, replace(cfg, seed=_derive_seed(cfg.seed, fold_idx)))
+        )
     return folds, models
 
 

@@ -254,6 +254,24 @@ class TestEvaluateCli:
                      "--run", str(workspace / "run"),
                      "--components", "zero", "--out", str(tmp_path / "x")]) == 4
 
+    @pytest.mark.parametrize("analysis", ["similarity", "classify", "attribute"])
+    @pytest.mark.parametrize("damage", ["short", "blank"])
+    def test_malformed_representation_row_exit_4(self, workspace, tmp_path, capsys,
+                                                 analysis, damage):
+        lines = (workspace / "fp" / "fingerprints.csv").read_text().splitlines()
+        # physical line 3 of the file (the header is line 1)
+        lines[2] = ",".join(lines[2].split(",")[:3]) if damage == "short" else ""
+        reps = tmp_path / "reps.csv"
+        reps.write_text("\n".join(lines) + "\n")
+        argv = ["evaluate", analysis, "--representations", str(reps),
+                "--out", str(tmp_path / "o")]
+        if analysis != "similarity":
+            argv += ["--data", str(workspace / "data"), "--epochs", "2"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("cograca: error[4]:")
+        assert "reps.csv" in err and "row 3" in err
+
     def test_interpret_bad_fold_exit_4(self, workspace, tmp_path):
         assert main(["evaluate", "interpret", "--data", str(workspace / "data"),
                      "--run", str(workspace / "run"),
@@ -295,10 +313,3 @@ class TestReproducibility:
             if name == "run.json":
                 continue
             assert (rerun / name).read_bytes() == (workspace / "data" / name).read_bytes(), name
-
-    def test_jobs_flag_does_not_change_models(self, workspace, tmp_path):
-        out = tmp_path / "jobs2"
-        assert main(TRAIN_ARGS + ["--jobs", "3", "--data", str(workspace / "data"),
-                                  "--out", str(out)]) == 0
-        base = (workspace / "run" / "fold_1.cgmodel").read_bytes()
-        assert (out / "fold_1.cgmodel").read_bytes() == base

@@ -14,6 +14,8 @@ from cograca.data import (
     read_matrix_csv,
     save_model,
     synthesize_to_disk,
+    read_csv,
+    write_csv,
     write_matrix_csv,
 )
 from cograca.pipeline import TrainConfig, train_model
@@ -36,6 +38,22 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         write_matrix_csv(path, mat)
         assert np.array_equal(read_matrix_csv(path), mat)
+
+    def test_mixed_rows_bytes_pinned(self, tmp_path):
+        # the one CSV codec: "\n" line ends, repr floats, no quoting, and a
+        # trailing newline; the reader gives the fields back as strings
+        path = tmp_path / "t.csv"
+        rows = [["s001", 2, 0.1 + 0.2, np.float64(1e-308)], ["s002", np.int64(-3), 1.0, -2.5]]
+        write_csv(path, rows, header=["subject_id", "visit", "a", "b"])
+        assert path.read_bytes() == (
+            b"subject_id,visit,a,b\n"
+            b"s001,2,0.30000000000000004,1e-308\n"
+            b"s002,-3,1.0,-2.5\n"
+        )
+        header, back = read_csv(path)
+        assert header == ["subject_id", "visit", "a", "b"]
+        assert back == [["s001", "2", "0.30000000000000004", "1e-308"],
+                        ["s002", "-3", "1.0", "-2.5"]]
 
     def test_garbage_raises_validation_error(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -244,6 +262,25 @@ class TestModelFile:
         save_model(model, path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(DataValidationError, match="trailing"):
+            load_model(path)
+
+    @pytest.mark.parametrize("damage", ["config", "w1"])
+    def test_missing_header_entry_detected(self, tmp_path, damage):
+        model = _tiny_model()
+        path = tmp_path / "m.cgmodel"
+        save_model(model, path)
+        blob = path.read_bytes()
+        header_len = int.from_bytes(blob[4:12], "little")
+        header = json.loads(blob[12 : 12 + header_len])
+        if damage == "config":
+            del header["config"]
+        else:
+            header["arrays"][0]["name"] = "w_renamed"
+        encoded = json.dumps(header).encode()
+        path.write_bytes(
+            blob[:4] + len(encoded).to_bytes(8, "little") + encoded + blob[12 + header_len :]
+        )
+        with pytest.raises(DataValidationError, match=damage):
             load_model(path)
 
     def test_header_is_json_with_version(self, tmp_path):

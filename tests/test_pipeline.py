@@ -213,13 +213,6 @@ class TestCrossValidate:
         assert np.array_equal(redo.params.m2, models[0].params.m2)
         assert np.array_equal(redo.solution.r, models[0].solution.r)
 
-    def test_jobs_do_not_change_results(self, records):
-        _, serial = cross_validate(records, TINY_TRAIN, jobs=1)
-        _, parallel = cross_validate(records, TINY_TRAIN, jobs=3)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.params.w1, b.params.w1)
-            assert np.array_equal(a.loss_trace, b.loss_trace)
-
     def test_out_of_fold_rejects_train_shared(self, records):
         folds, models = cross_validate(records, TINY_TRAIN)
         with pytest.raises(ValueError):
