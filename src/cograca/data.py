@@ -430,7 +430,7 @@ def save_model(model, path: Path) -> None:
 
 def load_model(path: Path):
     """Inverse of save_model; rejects wrong magic, version, truncation, or a
-    header that lacks a field or array."""
+    header that lacks a field or array or holds one of the wrong JSON type."""
     blob = Path(path).read_bytes()
     if len(blob) < 12 or blob[:4] != _MAGIC:
         raise DataValidationError(f"{path}: not a model file (bad magic)")
@@ -441,6 +441,8 @@ def load_model(path: Path):
         header = json.loads(blob[12 : 12 + header_len])
     except json.JSONDecodeError:
         raise DataValidationError(f"{path}: corrupt model header") from None
+    if not isinstance(header, dict):
+        raise DataValidationError(f"{path}: model header is not a JSON object")
     if header.get("version") != _FORMAT_VERSION:
         raise DataValidationError(
             f"{path}: unsupported format version {header.get('version')!r}, "
@@ -457,8 +459,21 @@ def _decode_model(path: Path, header: dict, blob: bytes, offset: int):
     from .encoder import EncoderParams
     from .gcca import GccaSolution, PreprocessStats
 
+    specs = header["arrays"]
+    if not isinstance(specs, list):
+        raise DataValidationError(f"{path}: model header 'arrays' is not a list")
     values: dict[str, np.ndarray] = {}
-    for spec in header["arrays"]:
+    for spec in specs:
+        if not (
+            isinstance(spec, dict)
+            and isinstance(spec.get("name"), str)
+            and isinstance(spec.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in spec["shape"])
+        ):
+            raise DataValidationError(
+                f"{path}: array spec {spec!r} needs a string name and a list of "
+                "non-negative integer dims"
+            )
         shape = tuple(spec["shape"])
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
@@ -471,19 +486,23 @@ def _decode_model(path: Path, header: dict, blob: bytes, offset: int):
     if offset != len(blob):
         raise DataValidationError(f"{path}: trailing bytes after model payload")
     c = header["config"]
-    config = TrainConfig(
-        epochs=int(c["epochs"]),
-        learning_rate=float(c["learning_rate"]),
-        hidden_dim=int(c["hidden_dim"]),
-        r=int(c["r"]),
-        d_r=int(c["d_r"]),
-        temperature=float(c["temperature"]),
-        lambda1=float(c["lambda1"]),
-        lambda2=float(c["lambda2"]),
-        ridge=None if c["ridge"] is None else float(c["ridge"]),
-        seed=int(c["seed"]),
-        folds=int(c["folds"]),
-    )
+    try:
+        config = TrainConfig(
+            epochs=int(c["epochs"]),
+            learning_rate=float(c["learning_rate"]),
+            hidden_dim=int(c["hidden_dim"]),
+            r=int(c["r"]),
+            d_r=int(c["d_r"]),
+            temperature=float(c["temperature"]),
+            lambda1=float(c["lambda1"]),
+            lambda2=float(c["lambda2"]),
+            ridge=None if c["ridge"] is None else float(c["ridge"]),
+            seed=int(c["seed"]),
+            folds=int(c["folds"]),
+        )
+        train_keys = tuple((s, int(v)) for s, v in header["train_keys"])
+    except (TypeError, ValueError) as exc:
+        raise DataValidationError(f"{path}: malformed model header: {exc}") from None
     params = EncoderParams(
         w1=values["w1"], m1=values["m1"], w2=values["w2"], m2=values["m2"]
     )
@@ -506,5 +525,5 @@ def _decode_model(path: Path, header: dict, blob: bytes, offset: int):
         stats=stats,
         config=config,
         loss_trace=values["loss_trace"],
-        train_keys=tuple((s, int(v)) for s, v in header["train_keys"]),
+        train_keys=train_keys,
     )

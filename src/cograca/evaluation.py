@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,7 +131,13 @@ class MlpClassifier:
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, x, np.expm1(np.minimum(x, 0.0)))
+    # max(x, 0) + expm1(min(x, 0)): equal bit for bit to the np.where form,
+    # with two temporaries instead of four
+    neg = np.minimum(x, 0.0)
+    np.expm1(neg, out=neg)
+    out = np.maximum(x, 0.0)
+    out += neg
+    return out
 
 
 def _elu_grad(pre: np.ndarray, post: np.ndarray) -> np.ndarray:
@@ -184,14 +191,19 @@ def train_mlp(
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
-    weights = {
-        "w1": glorot(d, 64), "b1": np.zeros(64),
-        "w2": glorot(64, 32), "b2": np.zeros(32),
-        "w3": glorot(32, 2), "b3": np.zeros(2),
-    }
-    opt = {k: AdamState.for_params(v, lr=learning_rate) for k, v in weights.items()}
+    shapes = {"w1": (d, 64), "b1": (64,), "w2": (64, 32), "b2": (32,),
+              "w3": (32, 2), "b3": (2,)}
+    # All six arrays live in one flat vector, so each epoch takes a single
+    # Adam step; Adam is elementwise, so this equals six per-array steps.
+    flat = np.concatenate([
+        glorot(d, 64).ravel(), np.zeros(64),
+        glorot(64, 32).ravel(), np.zeros(32),
+        glorot(32, 2).ravel(), np.zeros(2),
+    ])
+    opt = AdamState.for_params(flat, lr=learning_rate)
     onehot = np.eye(2)[y]
     for _ in range(epochs):
+        weights = _unflatten(flat, shapes)
         mask1 = rng.random((n, 64)) < _KEEP
         mask2 = rng.random((n, 32)) < _KEEP
         logits, ((pre1, act1, h1), (pre2, act2, h2)) = _mlp_forward(
@@ -215,9 +227,19 @@ def train_mlp(
         d_pre1 = d_act1 * _elu_grad(pre1, act1)
         grads["w1"] = x.T @ d_pre1
         grads["b1"] = d_pre1.sum(axis=0)
-        for key in weights:
-            weights[key], opt[key] = adam_step(opt[key], weights[key], grads[key])
-    return MlpClassifier(seed=seed, **weights)
+        grad_flat = np.concatenate([grads[k].ravel() for k in shapes])
+        flat, opt = adam_step(opt, flat, grad_flat)
+    return MlpClassifier(seed=seed, **_unflatten(flat, shapes))
+
+
+def _unflatten(flat: np.ndarray, shapes: dict) -> dict:
+    """Views of `flat`, one per named shape, laid out in dict order."""
+    views, offset = {}, 0
+    for key, shape in shapes.items():
+        size = math.prod(shape)
+        views[key] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return views
 
 
 def balanced_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -290,12 +312,46 @@ def _as_value_fn(classifier):
     raise TypeError("classifier must be an MlpClassifier or a batch callable")
 
 
+# Rows per value-function call. A 4096-row block keeps the MLP's hidden
+# activations (4096 x 64 doubles, 2 MB) cache-resident.
+_BLOCK_ROWS = 1 << 12
+
+
+def _evaluate_blocks(fn, rows: int, block_inputs) -> np.ndarray:
+    """fn over `rows` inputs, one _BLOCK_ROWS block at a time;
+    block_inputs(slice) builds the rows of one block."""
+    f = np.empty(rows)
+    for start in range(0, rows, _BLOCK_ROWS):
+        sl = slice(start, min(start + _BLOCK_ROWS, rows))
+        f[sl] = fn(block_inputs(sl))
+    return f
+
+
+@lru_cache(maxsize=2)
+def _coalition_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^d x d membership table (row m holds the bits of mask m) and
+    each mask's Shapley weight |S|!(d-1-|S|)!/d!; the full mask, which never
+    excludes a feature, gets weight 0. Built on first use for each d."""
+    bits = (np.arange(1 << d, dtype=np.int64)[:, None] >> np.arange(d)) & 1
+    by_size = np.array(
+        [math.factorial(k) * math.factorial(d - 1 - k) / math.factorial(d) for k in range(d)]
+        + [0.0]
+    )
+    weights = by_size[bits.sum(axis=1)]
+    bits = bits.astype(bool)
+    bits.setflags(write=False)
+    weights.setflags(write=False)
+    return bits, weights
+
+
 def shapley_attribution(classifier, x: np.ndarray, baseline: np.ndarray) -> AttributionReport:
     """Exact Shapley values by enumerating all coalitions.
 
     The value function is the classifier's class-1 log-odds with absent
-    features replaced by the baseline. Feature counts above 20 are refused;
-    use shapley_attribution_mc there.
+    features replaced by the baseline. The 2^d coalitions are evaluated in
+    blocks of 4096 rows, so beyond the 2^d values and the per-d coalition
+    table only one block's inputs and activations are in memory at a time.
+    Feature counts above 20 are refused; use shapley_attribution_mc there.
     """
     fn = _as_value_fn(classifier)
     x = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -307,23 +363,15 @@ def shapley_attribution(classifier, x: np.ndarray, baseline: np.ndarray) -> Attr
         raise ValueError(
             f"{d} features means 2^{d} coalitions; use shapley_attribution_mc instead"
         )
-    total = 1 << d
-    bits = ((np.arange(total, dtype=np.int64)[:, None] >> np.arange(d)) & 1).astype(bool)
-    sizes = bits.sum(axis=1)
-    f = np.empty(total)
-    chunk = 1 << 15
-    for start in range(0, total, chunk):
-        sl = slice(start, min(start + chunk, total))
-        f[sl] = fn(np.where(bits[sl], x, baseline))
-    # weight of a coalition of size k that excludes the feature: k!(d-1-k)!/d!
-    weight = np.array(
-        [math.factorial(k) * math.factorial(d - 1 - k) / math.factorial(d) for k in range(d)]
-    )
-    masks = np.arange(total, dtype=np.int64)
+    bits, weights = _coalition_tables(d)
+    f = _evaluate_blocks(fn, 1 << d, lambda sl: np.where(bits[sl], x, baseline))
     values = np.empty(d)
     for i in range(d):
-        without = masks[~bits[:, i]]
-        values[i] = float(np.sum(weight[sizes[without]] * (f[without + (1 << i)] - f[without])))
+        # axis 1 splits each run of 2^(i+1) masks into those without bit i
+        # and the same masks with it, both in ascending mask order
+        pairs = f.reshape(-1, 2, 1 << i)
+        w = weights.reshape(-1, 2, 1 << i)[:, 0, :]
+        values[i] = float(np.sum((w * (pairs[:, 1, :] - pairs[:, 0, :])).ravel()))
     return AttributionReport(
         values=values,
         baseline=baseline,
@@ -351,24 +399,14 @@ def shapley_attribution_mc(
         raise ValueError("need at least two permutations for a standard error")
     d = x.shape[0]
     rng = np.random.default_rng(seed)
-    contributions = np.zeros((n_permutations, d))
-    inputs = np.empty((n_permutations * (d + 1), d))
-    orders = np.empty((n_permutations, d), dtype=np.int64)
-    row = 0
-    for p in range(n_permutations):
-        order = rng.permutation(d)
-        orders[p] = order
-        current = baseline.copy()
-        inputs[row] = current
-        row += 1
-        for i in order:
-            current[i] = x[i]
-            inputs[row] = current
-            row += 1
-    f = fn(inputs).reshape(n_permutations, d + 1)
-    deltas = np.diff(f, axis=1)
-    for p in range(n_permutations):
-        contributions[p, orders[p]] = deltas[p]
+    orders = np.array([rng.permutation(d) for _ in range(n_permutations)], dtype=np.int64)
+    rank = np.argsort(orders, axis=1)  # rank[p, j]: position of feature j in order p
+    # row k of permutation p holds x on that order's first k features
+    steps = np.arange(d + 1)
+    inputs = np.where(rank[:, None, :] < steps[:, None], x, baseline).reshape(-1, d)
+    f = _evaluate_blocks(fn, inputs.shape[0], lambda sl: inputs[sl])
+    f = f.reshape(n_permutations, d + 1)
+    contributions = np.take_along_axis(np.diff(f, axis=1), rank, axis=1)
     values = contributions.mean(axis=0)
     se = contributions.std(axis=0, ddof=1) / math.sqrt(n_permutations)
     return AttributionReport(

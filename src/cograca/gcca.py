@@ -66,17 +66,23 @@ class PreprocessStats:
     cog_std: np.ndarray
 
 
-def _row_stats(raw: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
+def _row_stats(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row means, row stds (1 where degenerate) and the degenerate rows."""
     mean = raw.mean(axis=1)
     std = raw.std(axis=1)
     degenerate = std < 1e-12
-    if degenerate.any():
-        rows = np.flatnonzero(degenerate)
-        warnings.warn(
-            f"{label} rows {rows.tolist()} have zero variance; centering without scaling"
-        )
-        std = np.where(degenerate, 1.0, std)
-    return mean, std
+    return mean, np.where(degenerate, 1.0, std), np.flatnonzero(degenerate)
+
+
+def _fit_stats(
+    brain_raw: np.ndarray, cog_raw: np.ndarray
+) -> tuple[PreprocessStats, dict[str, np.ndarray]]:
+    """Both views' z-scoring statistics, plus each view's zero-variance rows
+    keyed by the view label the warning names."""
+    b_mean, b_std, b_rows = _row_stats(brain_raw)
+    c_mean, c_std, c_rows = _row_stats(cog_raw)
+    stats = PreprocessStats(brain_mean=b_mean, brain_std=b_std, cog_mean=c_mean, cog_std=c_std)
+    return stats, {"brain view": b_rows, "cognition view": c_rows}
 
 
 def preprocess_views(
@@ -87,7 +93,8 @@ def preprocess_views(
     """Row z-score both views (features x visits).
 
     With stats=None the statistics are computed from the given data (the
-    training fold); pass a training fold's stats to transform held-out data.
+    training fold), warning about zero-variance rows; pass a training fold's
+    stats to transform held-out data.
     """
     brain_raw = np.asarray(brain_raw, dtype=np.float64)
     cog_raw = np.asarray(cog_raw, dtype=np.float64)
@@ -98,11 +105,13 @@ def preprocess_views(
             f"visit counts differ: brain {brain_raw.shape[1]} vs cognition {cog_raw.shape[1]}"
         )
     if stats is None:
-        b_mean, b_std = _row_stats(brain_raw, "brain view")
-        c_mean, c_std = _row_stats(cog_raw, "cognition view")
-        stats = PreprocessStats(
-            brain_mean=b_mean, brain_std=b_std, cog_mean=c_mean, cog_std=c_std
-        )
+        stats, degenerate = _fit_stats(brain_raw, cog_raw)
+        for label, rows in degenerate.items():
+            if rows.size:
+                warnings.warn(
+                    f"{label} rows {rows.tolist()} have zero variance; "
+                    "centering without scaling"
+                )
     if stats.brain_mean.shape[0] != brain_raw.shape[0]:
         raise ValueError("stats do not match the brain view's feature count")
     if stats.cog_mean.shape[0] != cog_raw.shape[0]:

@@ -17,6 +17,7 @@ from .gcca import (
     Fingerprint,
     GccaSolution,
     PreprocessStats,
+    _fit_stats,
     corr_grad_brain,
     corr_loss,
     preprocess_views,
@@ -184,9 +185,20 @@ def train_model(records: list[VisitRecord], cfg: TrainConfig) -> TrainedModel:
     opt = {name: AdamState.for_params(arr, lr=cfg.learning_rate)
            for name, arr in params.as_dict().items()}
     trace = np.zeros((cfg.epochs, 4))
+    # zero-variance rows per view label: rows seen, solves affected
+    degenerate: dict[str, tuple[set[int], int]] = {}
+
+    def z_score(pooled):
+        stats, rows = _fit_stats(pooled.T, cogs)
+        for label, idx in rows.items():
+            if idx.size:
+                seen, count = degenerate.get(label, (set(), 0))
+                degenerate[label] = (seen | set(idx.tolist()), count + 1)
+        return preprocess_views(pooled.T, cogs, stats=stats)
+
     for epoch in range(cfg.epochs):
         pooled, _, _, caches = encode_batch(params, feats, masks)
-        brain, cog, stats = preprocess_views(pooled.T, cogs)
+        brain, cog, stats = z_score(pooled)
         solution = solve_gcca(brain, cog, cfg.d_r, cfg.ridge)
         l_corr = corr_loss(solution, brain, cog)
         # z-scoring stats are treated as constants in the backward pass
@@ -208,8 +220,14 @@ def train_model(records: list[VisitRecord], cfg: TrainConfig) -> TrainedModel:
             updated[name], opt[name] = adam_step(opt[name], arr, grads[name])
         params = EncoderParams(**updated)
     pooled, _, _, _ = encode_batch(params, feats, masks)
-    brain, cog, stats = preprocess_views(pooled.T, cogs)
+    brain, cog, stats = z_score(pooled)
     solution = solve_gcca(brain, cog, cfg.d_r, cfg.ridge)
+    for label, (seen, count) in degenerate.items():
+        warnings.warn(
+            f"{label} rows {sorted(seen)} had zero variance in {count} of "
+            f"{cfg.epochs + 1} GCCA solves ({cfg.epochs} epochs and the final solve); "
+            "centering without scaling"
+        )
     return TrainedModel(
         params=params,
         solution=solution,

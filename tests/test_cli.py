@@ -305,6 +305,18 @@ class TestReproducibility:
                 continue
             assert (rerun / name).read_bytes() == (workspace / "run" / name).read_bytes(), name
 
+    def test_attribute_rerun_is_byte_identical(self, workspace, tmp_path):
+        first = tmp_path / "att"
+        assert main(["evaluate", "attribute",
+                     "--representations", str(workspace / "fp" / "fingerprints.csv"),
+                     "--data", str(workspace / "data"),
+                     "--epochs", "10", "--out", str(first)]) == 0
+        record = json.loads((first / "run.json").read_text())
+        rerun = tmp_path / "att2"
+        assert main(rebuild_argv(record, str(rerun))) == 0
+        for name in ("attribution.csv", "attribution_summary.csv", "metrics.json"):
+            assert (rerun / name).read_bytes() == (first / name).read_bytes(), name
+
     def test_synth_rerun_is_byte_identical(self, workspace, tmp_path):
         record = json.loads((workspace / "data" / "run.json").read_text())
         rerun = tmp_path / "data2"

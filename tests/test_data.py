@@ -218,6 +218,40 @@ def _tiny_model():
     return train_model(records, cfg)
 
 
+def _saved_with_header(tmp_path, damage):
+    """Save a tiny model, then rewrite its JSON header through `damage`."""
+    path = tmp_path / "m.cgmodel"
+    save_model(_tiny_model(), path)
+    blob = path.read_bytes()
+    header_len = int.from_bytes(blob[4:12], "little")
+    header = damage(json.loads(blob[12 : 12 + header_len]))
+    encoded = json.dumps(header).encode()
+    path.write_bytes(
+        blob[:4] + len(encoded).to_bytes(8, "little") + encoded + blob[12 + header_len :]
+    )
+    return path
+
+
+def _with_first_array(**changes):
+    def damage(header):
+        header["arrays"][0].update(changes)
+        return header
+    return damage
+
+
+# valid JSON, wrong types: each once escaped as AttributeError or TypeError
+_WRONG_TYPES = {
+    "header-not-object": lambda header: [header],
+    "arrays-not-list": lambda header: {**header, "arrays": {"w1": [3, 4]}},
+    "array-spec-not-object": lambda header: {**header, "arrays": [["w1", [3, 4]]]},
+    "name-not-string": _with_first_array(name=["w1"]),
+    "shape-string": _with_first_array(shape="34"),
+    "shape-nested": _with_first_array(shape=[[3, 4]]),
+    "config-not-object": lambda header: {**header, "config": [1, 2]},
+    "train-keys-not-pairs": lambda header: {**header, "train_keys": 5},
+}
+
+
 class TestModelFile:
     def test_save_load_round_trip(self, tmp_path):
         model = _tiny_model()
@@ -266,21 +300,21 @@ class TestModelFile:
 
     @pytest.mark.parametrize("damage", ["config", "w1"])
     def test_missing_header_entry_detected(self, tmp_path, damage):
-        model = _tiny_model()
-        path = tmp_path / "m.cgmodel"
-        save_model(model, path)
-        blob = path.read_bytes()
-        header_len = int.from_bytes(blob[4:12], "little")
-        header = json.loads(blob[12 : 12 + header_len])
-        if damage == "config":
-            del header["config"]
-        else:
-            header["arrays"][0]["name"] = "w_renamed"
-        encoded = json.dumps(header).encode()
-        path.write_bytes(
-            blob[:4] + len(encoded).to_bytes(8, "little") + encoded + blob[12 + header_len :]
-        )
+        def drop(header):
+            if damage == "config":
+                del header["config"]
+            else:
+                header["arrays"][0]["name"] = "w_renamed"
+            return header
+
+        path = _saved_with_header(tmp_path, drop)
         with pytest.raises(DataValidationError, match=damage):
+            load_model(path)
+
+    @pytest.mark.parametrize("damage", sorted(_WRONG_TYPES))
+    def test_wrong_typed_header_detected(self, tmp_path, damage):
+        path = _saved_with_header(tmp_path, _WRONG_TYPES[damage])
+        with pytest.raises(DataValidationError):
             load_model(path)
 
     def test_header_is_json_with_version(self, tmp_path):

@@ -6,6 +6,8 @@ import pytest
 
 from cograca.data import SyntheticConfig, generate_synthetic
 from cograca.evaluation import (
+    _coalition_tables,
+    _elu,
     balanced_accuracy,
     cross_validated_bacc,
     interpret_components,
@@ -14,6 +16,7 @@ from cograca.evaluation import (
     similarity_analysis,
     train_mlp,
 )
+from cograca.numerics import AdamState, adam_step
 from cograca.pipeline import TrainConfig, train_model
 
 
@@ -137,6 +140,36 @@ class TestMlp:
         assert clf.w3.shape == (32, 2)
 
 
+class TestMlpKernels:
+    def test_elu_matches_where_form_bitwise(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        specials = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 1e-300, -1e-300,
+                             1.0, -1.0, 700.0, -700.0, 1e300, -1e300, np.inf, -np.inf])
+        grid = np.concatenate([specials, np.linspace(-40.0, 40.0, 4000),
+                               np.geomspace(1e-12, 1e12, 500), -np.geomspace(1e-12, 1e12, 500)])
+        expect = np.where(grid > 0.0, grid, np.expm1(np.minimum(grid, 0.0)))
+        assert _elu(grid).tobytes() == expect.tobytes()
+        assert _elu(grid.reshape(-1, 2)).tobytes() == expect.tobytes()
+
+    def test_adam_on_concatenation_equals_per_array_steps(self, rng):
+        shapes = [(6, 64), (64,), (64, 32), (32,), (32, 2), (2,)]
+        params = [rng.standard_normal(s) for s in shapes]
+        states = [AdamState.for_params(p, lr=0.01) for p in params]
+        flat = np.concatenate([p.ravel() for p in params])
+        flat_state = AdamState.for_params(flat, lr=0.01)
+        for _ in range(3):
+            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-8, 3) for s in shapes]
+            stepped = [adam_step(st, p, g) for st, p, g in zip(states, params, grads)]
+            params = [p for p, _ in stepped]
+            states = [st for _, st in stepped]
+            flat, flat_state = adam_step(
+                flat_state, flat, np.concatenate([g.ravel() for g in grads])
+            )
+            assert flat.tobytes() == np.concatenate([p.ravel() for p in params]).tobytes()
+            assert flat_state.v.tobytes() == np.concatenate(
+                [st.v.ravel() for st in states]).tobytes()
+
+
 class TestBalancedAccuracy:
     def test_hand_case(self):
         labels = np.array([0, 0, 0, 1, 1])
@@ -171,7 +204,83 @@ class TestCrossValidatedBacc:
         assert len(set(baccs.tolist())) > 1 or np.all(baccs == 1.0)
 
 
+def enumerate_one_batch(fn, x, baseline):
+    """Reference exact Shapley: every coalition in one batch, then a boolean
+    mask gather of the coalitions without feature i, per feature."""
+    d = x.shape[0]
+    total = 1 << d
+    bits = ((np.arange(total, dtype=np.int64)[:, None] >> np.arange(d)) & 1).astype(bool)
+    sizes = bits.sum(axis=1)
+    f = fn(np.where(bits, x, baseline))
+    weight = np.array(
+        [math.factorial(k) * math.factorial(d - 1 - k) / math.factorial(d) for k in range(d)]
+    )
+    masks = np.arange(total, dtype=np.int64)
+    values = np.empty(d)
+    for i in range(d):
+        without = masks[~bits[:, i]]
+        values[i] = float(np.sum(weight[sizes[without]] * (f[without + (1 << i)] - f[without])))
+    return values
+
+
+def permutation_loop(fn, x, baseline, n_permutations, seed):
+    """Reference sampled Shapley: inputs built one permutation step at a time."""
+    d = x.shape[0]
+    rng = np.random.default_rng(seed)
+    inputs, orders = [], []
+    for _ in range(n_permutations):
+        order = rng.permutation(d)
+        orders.append(order)
+        current = baseline.copy()
+        inputs.append(current.copy())
+        for i in order:
+            current[i] = x[i]
+            inputs.append(current.copy())
+    deltas = np.diff(fn(np.array(inputs)).reshape(n_permutations, d + 1), axis=1)
+    contributions = np.zeros((n_permutations, d))
+    for p, order in enumerate(orders):
+        contributions[p, order] = deltas[p]
+    return contributions.mean(axis=0), contributions.std(axis=0, ddof=1) / math.sqrt(n_permutations)
+
+
 class TestShapley:
+    @pytest.mark.parametrize("d", [3, 14])
+    def test_blocks_match_one_batch_enumeration(self, d):
+        # d=3 fits in one block; d=14 spans four
+        x_train, y_train = blobs(np.random.default_rng(d), n_per=20, d=d)
+        clf = train_mlp(x_train, y_train, seed=d, epochs=30)
+        x, baseline = x_train[0], x_train.mean(axis=0)
+        expect = enumerate_one_batch(clf.decision_value, x, baseline)
+        rep = shapley_attribution(clf, x, baseline)
+        assert np.max(np.abs(rep.values - expect)) <= 1e-12
+
+    def test_row_independent_value_bit_identical_to_one_batch(self, rng):
+        def f(batch):
+            return np.sin(batch).sum(axis=1) + batch[:, 0] * batch[:, -1]
+
+        x, baseline = rng.standard_normal(13), rng.standard_normal(13)
+        rep = shapley_attribution(f, x, baseline)
+        assert rep.values.tobytes() == enumerate_one_batch(f, x, baseline).tobytes()
+
+    def test_cold_and_warm_tables_give_identical_bytes(self):
+        x_train, y_train = blobs(np.random.default_rng(0), n_per=15, d=9)
+        clf = train_mlp(x_train, y_train, seed=0, epochs=10)
+        _coalition_tables.cache_clear()
+        cold = shapley_attribution(clf, x_train[1], x_train.mean(axis=0))
+        warm = shapley_attribution(clf, x_train[1], x_train.mean(axis=0))
+        assert _coalition_tables.cache_info().hits >= 1
+        assert cold.values.tobytes() == warm.values.tobytes()
+
+    def test_mc_matches_permutation_loop_bitwise(self, rng):
+        def f(batch):
+            return np.tanh(batch).prod(axis=1) + batch[:, 1]
+
+        x, baseline = rng.standard_normal(7), rng.standard_normal(7)
+        values, se = permutation_loop(f, x, baseline, n_permutations=120, seed=4)
+        mc = shapley_attribution_mc(f, x, baseline, n_permutations=120, seed=4)
+        assert mc.values.tobytes() == values.tobytes()
+        assert mc.standard_errors.tobytes() == se.tobytes()
+
     def test_linear_closed_form(self, rng):
         w = rng.standard_normal(7)
         x = rng.standard_normal(7)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,18 @@ class TestTrainModel:
         with pytest.warns(UserWarning, match="contrastive terms are inactive"):
             model = train_model(solo, TINY_TRAIN)
         assert np.all(model.loss_trace[:, 1:3] == 0.0)
+
+    def test_zero_variance_warned_once_per_train(self):
+        # the default cohort starts with dead ReLU embedding units, which
+        # leave constant brain rows in every epoch
+        default = generate_synthetic(SyntheticConfig())[0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            train_model(default, TrainConfig(epochs=5))
+        zero_var = [str(w.message) for w in caught if "zero variance" in str(w.message)]
+        assert len(zero_var) == 1
+        assert zero_var[0].startswith("brain view rows [")
+        assert "of 6 GCCA solves (5 epochs and the final solve)" in zero_var[0]
 
     def test_too_few_visits_rejected(self, records):
         cfg = dataclasses.replace(TINY_TRAIN, d_r=len(records))
