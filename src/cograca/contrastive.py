@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,14 @@ class BatchIndex:
 
     def multi_visit_subjects(self) -> list[str]:
         return [s for s, pos in self.groups.items() if len(pos) > 1]
+
+    @cached_property
+    def subject_codes(self) -> np.ndarray:
+        """Per visit, its subject's position in `groups` (first-visit order)."""
+        codes = np.empty(self.n_visits, dtype=np.intp)
+        for code, positions in enumerate(self.groups.values()):
+            codes[list(positions)] = code
+        return codes
 
 
 @dataclass(frozen=True)
@@ -115,8 +124,9 @@ def individualized_loss(
     if n < 2:
         raise ValueError("need at least two visits")
     unit, norms = _unit_rows(embeddings, index, "embedding")
-    subjects = np.array(index.subject_ids)
-    positive = (subjects[:, None] == subjects[None, :]) & ~np.eye(n, dtype=bool)
+    codes = index.subject_codes
+    positive = codes[:, None] == codes[None, :]
+    np.fill_diagonal(positive, False)
     if not positive.any():
         warnings.warn("no same-subject pair in batch; individualized loss is 0")
         return 0.0, np.zeros_like(embeddings)
@@ -165,32 +175,41 @@ def multimodal_loss(
     if not multi:
         warnings.warn("every subject has a single visit; multimodal loss is 0")
         return 0.0, grad
-    n_subjects = index.n_subjects
+    norms_h = np.sqrt((embeddings * embeddings).sum(axis=1))
+    norms_c = np.sqrt((cognition * cognition).sum(axis=1))
+    if min(norms_h.min(), norms_c.min()) < 1e-12:
+        # report the row a subject-by-subject pass meets first: subjects in
+        # order of first visit, each one's embeddings before its cognition
+        for subject in multi:
+            for what, norms in (("embedding", norms_h), ("cognitive vector", norms_c)):
+                for i in index.groups[subject]:
+                    if norms[i] < 1e-12:
+                        raise ValueError(
+                            f"zero-norm {what} for subject {subject!r} "
+                            f"visit {index.visit_ids[i]}; cosine similarity undefined"
+                        )
+    # One block-masked pass over the visits of multi-visit subjects: row i's
+    # denominator holds the cognitive vectors of its subject's visits.
+    codes = index.subject_codes
+    active = np.flatnonzero(np.bincount(codes)[codes] > 1)
+    unit_h = embeddings[active] / norms_h[active, None]
+    unit_c = cognition[active] / norms_c[active, None]
+    same = codes[active, None] == codes[None, active]
+    if not cfg.include_positive_in_denominator:
+        np.fill_diagonal(same, False)
     tau = cfg.temperature
-    loss = 0.0
-    for subject in multi:
-        pos = np.array(index.groups[subject])
-        sub_index = BatchIndex.from_visits(
-            [index.subject_ids[i] for i in pos], [index.visit_ids[i] for i in pos]
-        )
-        unit_h, norms_h = _unit_rows(embeddings[pos], sub_index, "embedding")
-        unit_c, _ = _unit_rows(cognition[pos], sub_index, "cognitive vector")
-        m = len(pos)
-        logits = (unit_h @ unit_c.T) / tau
-        denom_logits = logits.copy()
-        if not cfg.include_positive_in_denominator:
-            np.fill_diagonal(denom_logits, -np.inf)
-        row_max = denom_logits.max(axis=1, keepdims=True)
-        expd = np.exp(denom_logits - row_max)
-        z = expd.sum(axis=1, keepdims=True)
-        log_den = np.log(z) + row_max
-        loss -= float(np.trace(logits) - log_den.sum())
-        p = expd / z
-        g_logits = (p - np.eye(m)) / tau
-        d_unit_h = g_logits @ unit_c
-        grad[pos] += _norm_backward(d_unit_h, unit_h, norms_h)
-    loss /= n_subjects
-    grad /= n_subjects
+    logits = (unit_h @ unit_c.T) / tau
+    masked = np.where(same, logits, -np.inf)
+    row_max = masked.max(axis=1, keepdims=True)
+    expd = np.exp(masked - row_max)
+    z = expd.sum(axis=1, keepdims=True)
+    log_den = np.log(z) + row_max
+    n_subjects = index.n_subjects
+    loss = -float(np.trace(logits) - log_den.sum()) / n_subjects
+    g_logits = expd / z
+    np.fill_diagonal(g_logits, g_logits.diagonal() - 1.0)
+    g_logits /= tau
+    grad[active] = _norm_backward(g_logits @ unit_c, unit_h, norms_h[active]) / n_subjects
     return loss, grad
 
 

@@ -38,6 +38,25 @@ __all__ = [
 
 _MAGIC = b"CGM1"
 _FORMAT_VERSION = 1
+# The dims of each stored array: a name binds to its first size and must
+# match it everywhere else, "2*h" is twice h's size, None is free, and n is
+# the number of training visits.
+_MODEL_DIMS = {
+    "w1": ("d_in", "h"),
+    "m1": ("2*h",),
+    "w2": ("h", "r"),
+    "m2": ("2*r",),
+    "r": ("d_r", "n"),
+    "u_brain": ("r", "d_r"),
+    "u_cog": ("d_cog", "d_r"),
+    "eigenvalues": (None,),
+    "ridge_used": (2,),
+    "brain_mean": ("r",),
+    "brain_std": ("r",),
+    "cog_mean": ("d_cog",),
+    "cog_std": ("d_cog",),
+    "loss_trace": ("epochs", 4),
+}
 
 
 class DataValidationError(ValueError):
@@ -454,6 +473,34 @@ def load_model(path: Path):
         raise DataValidationError(f"{path}: model header is missing {exc}") from None
 
 
+def _dims_match(dims: tuple, shape: tuple, bound: dict[str, int]) -> bool:
+    if len(shape) != len(dims):
+        return False
+    for dim, size in zip(dims, shape):
+        if isinstance(dim, str):
+            factor, _, name = dim.rpartition("*")
+            if size != int(factor or 1) * bound.setdefault(name, size):
+                return False
+        elif dim is not None and size != dim:
+            return False
+    return True
+
+
+def _check_model_dims(path: Path, values: dict[str, np.ndarray], n_visits: int) -> None:
+    """Raise DataValidationError naming the first array whose rank or shared
+    dims disagree with `_MODEL_DIMS`."""
+    bound = {"n": n_visits}
+    for name, dims in _MODEL_DIMS.items():
+        shape = values[name].shape
+        if not _dims_match(dims, shape, bound):
+            expected = ", ".join("any" if d is None else str(d) for d in dims)
+            known = ", ".join(f"{k}={v}" for k, v in bound.items())
+            raise DataValidationError(
+                f"{path}: array {name} has shape {list(shape)}, expected ({expected}) "
+                f"with {known}"
+            )
+
+
 def _decode_model(path: Path, header: dict, blob: bytes, offset: int):
     from .pipeline import TrainConfig, TrainedModel  # deferred to avoid an import cycle
     from .encoder import EncoderParams
@@ -503,6 +550,7 @@ def _decode_model(path: Path, header: dict, blob: bytes, offset: int):
         train_keys = tuple((s, int(v)) for s, v in header["train_keys"])
     except (TypeError, ValueError) as exc:
         raise DataValidationError(f"{path}: malformed model header: {exc}") from None
+    _check_model_dims(path, values, len(train_keys))
     params = EncoderParams(
         w1=values["w1"], m1=values["m1"], w2=values["w2"], m2=values["m2"]
     )

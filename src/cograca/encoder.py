@@ -159,42 +159,63 @@ def _layer_forward(w: np.ndarray, m: np.ndarray, feats: np.ndarray, mask: np.nda
     Score e_pq = ReLU(s_p + t_q) with s, t the query/key halves of m applied
     to the transformed features; softmax is restricted to each node's
     neighborhood. Returns (h_out (N,V,d_out), attention (N,V,V), cache).
+
+    The cache is (feats, z, attn, score_gate, out_gate): the layer input,
+    its transform z = feats W, the attention, and the two ReLU gates as
+    boolean masks (mask & s_p + t_q > 0, and attn z > 0). Neither input is
+    written; the scores are built in place in the buffer that becomes attn.
     """
+    n, v, d = feats.shape
     h = w.shape[1]
-    z = feats @ w
+    z = (feats.reshape(n * v, d) @ w).reshape(n, v, h)
     s = z @ m[:h]
     t = z @ m[h:]
-    e_raw = s[:, :, None] + t[:, None, :]
-    scores = np.where(mask, np.maximum(e_raw, 0.0), -np.inf)
-    scores = scores - scores.max(axis=2, keepdims=True)
-    expd = np.exp(scores)
-    attn = expd / expd.sum(axis=2, keepdims=True)
-    pre = attn @ z
-    h_out = np.maximum(pre, 0.0)
-    cache = (feats, z, e_raw, attn, pre, mask)
-    return h_out, attn, cache
+    attn = np.add(s[:, :, None], t[:, None, :])
+    score_gate = attn > 0.0
+    score_gate &= mask
+    # ReLU scores are >= 0, so zeroing the non-neighbors leaves each row's
+    # neighborhood max in place and exp(.) * mask gives them weight 0
+    np.maximum(attn, 0.0, out=attn)
+    attn *= mask
+    attn -= attn.max(axis=2, keepdims=True)
+    np.exp(attn, out=attn)
+    attn *= mask
+    attn /= attn.sum(axis=2, keepdims=True)
+    h_out = attn @ z
+    out_gate = h_out > 0.0
+    np.maximum(h_out, 0.0, out=h_out)
+    return h_out, attn, (feats, z, attn, score_gate, out_gate)
 
 
 def _layer_backward(w: np.ndarray, m: np.ndarray, cache, d_h_out: np.ndarray):
     """Reverse of _layer_forward. Returns (d_feats, d_w, d_m).
 
-    ReLU uses subgradient 0 at 0, matching the forward's max(., 0).
+    ReLU uses subgradient 0 at 0, matching the forward's max(., 0). Every
+    contraction is a BLAS GEMM: batched per graph for the (V,V) attention
+    terms, one (N*V)-row product for the weight gradients. The cache and
+    d_h_out are read, never written.
     """
-    feats, z, e_raw, attn, pre, mask = cache
+    feats, z, attn, score_gate, out_gate = cache
+    n, v, d = feats.shape
     h = w.shape[1]
-    d_pre = d_h_out * (pre > 0.0)
-    d_attn = np.einsum("nvh,nqh->nvq", d_pre, z)
-    d_z = np.einsum("nvq,nvh->nqh", attn, d_pre)
-    inner = (attn * d_attn).sum(axis=2, keepdims=True)
-    d_e = np.where(mask & (e_raw > 0.0), attn * (d_attn - inner), 0.0)
-    d_s = d_e.sum(axis=2)
-    d_t = d_e.sum(axis=1)
-    d_z += d_s[:, :, None] * m[:h] + d_t[:, :, None] * m[h:]
-    d_m = np.concatenate(
-        [np.einsum("nv,nvh->h", d_s, z), np.einsum("nv,nvh->h", d_t, z)]
-    )
-    d_w = np.einsum("nvd,nvh->dh", feats, d_z)
-    d_feats = d_z @ w.T
+    d_pre = d_h_out * out_gate
+    # d_e holds the attention gradient, then in place the score gradient
+    d_e = d_pre @ z.transpose(0, 2, 1)
+    d_z = attn.transpose(0, 2, 1) @ d_pre
+    inner = (attn * d_e).sum(axis=2, keepdims=True)
+    d_e -= inner
+    d_e *= attn
+    d_e *= score_gate
+    # the score gradient's row sums (d_s) and column sums (d_t) side by side
+    d_st = np.empty((2, n, v))
+    d_e.sum(axis=2, out=d_st[0])
+    d_e.sum(axis=1, out=d_st[1])
+    d_st = d_st.reshape(2, n * v)
+    d_z2 = d_z.reshape(n * v, h)
+    d_z2 += d_st.T @ m.reshape(2, h)
+    d_m = (d_st @ z.reshape(n * v, h)).ravel()
+    d_w = feats.reshape(n * v, d).T @ d_z2
+    d_feats = (d_z2 @ w.T).reshape(n, v, d)
     return d_feats, d_w, d_m
 
 
@@ -203,6 +224,8 @@ def encode_batch(params: EncoderParams, feats: np.ndarray, masks: np.ndarray):
 
     feats (N,V,D), masks (N,V,V) bool. Returns (pooled (N,r), node
     embeddings (N,V,r), attentions per layer, caches for the reverse pass).
+    Each cache is the tuple of arrays `_layer_forward` documents; the first
+    layer's holds `feats` itself. `feats` and `masks` are never written.
     """
     if feats.shape[2] != params.d_in:
         raise ValueError(
@@ -217,8 +240,8 @@ def encode_batch(params: EncoderParams, feats: np.ndarray, masks: np.ndarray):
 def encode_batch_vjp(params: EncoderParams, caches, d_pooled: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of sum_n <d_pooled[n], pooled[n]> with respect to all params."""
     c1, c2 = caches
-    n_nodes = c1[0].shape[1]
-    d_h2 = np.repeat(d_pooled[:, None, :] / n_nodes, n_nodes, axis=1)
+    n, n_nodes = c1[0].shape[:2]
+    d_h2 = np.broadcast_to(d_pooled[:, None, :] / n_nodes, (n, n_nodes, d_pooled.shape[1]))
     d_h1, d_w2, d_m2 = _layer_backward(params.w2, params.m2, c2, d_h2)
     _, d_w1, d_m1 = _layer_backward(params.w1, params.m1, c1, d_h1)
     return {"w1": d_w1, "m1": d_m1, "w2": d_w2, "m2": d_m2}

@@ -18,6 +18,7 @@ from .numerics import (
     AdamState,
     MannWhitneyResult,
     _derive_seed,
+    _unflatten,
     adam_step,
     mann_whitney_u,
     wasserstein_1d,
@@ -230,16 +231,6 @@ def train_mlp(
         grad_flat = np.concatenate([grads[k].ravel() for k in shapes])
         flat, opt = adam_step(opt, flat, grad_flat)
     return MlpClassifier(seed=seed, **_unflatten(flat, shapes))
-
-
-def _unflatten(flat: np.ndarray, shapes: dict) -> dict:
-    """Views of `flat`, one per named shape, laid out in dict order."""
-    views, offset = {}, 0
-    for key, shape in shapes.items():
-        size = math.prod(shape)
-        views[key] = flat[offset : offset + size].reshape(shape)
-        offset += size
-    return views
 
 
 def balanced_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:

@@ -146,6 +146,16 @@ def adam_step(
     return updated, replace(state, step=t, m=m, v=v)
 
 
+def _unflatten(flat: np.ndarray, shapes: dict) -> dict:
+    """Views of `flat`, one per named shape, laid out in dict order."""
+    views, offset = {}, 0
+    for key, shape in shapes.items():
+        size = math.prod(shape)
+        views[key] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return views
+
+
 def _as_vector(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:

@@ -24,7 +24,7 @@ from .gcca import (
     project_fingerprint,
     solve_gcca,
 )
-from .numerics import AdamState, _derive_seed, adam_step
+from .numerics import AdamState, _derive_seed, _unflatten, adam_step
 
 __all__ = [
     "TrainConfig",
@@ -158,9 +158,11 @@ def train_model(records: list[VisitRecord], cfg: TrainConfig) -> TrainedModel:
     Each epoch: encode all graphs, z-score both views, re-solve the shared
     representation, assemble the embedding gradient (correlation term chained
     through the frozen z-scoring, plus the weighted contrastive terms on the
-    raw embeddings), backpropagate through the encoder, and apply one Adam
-    step per parameter array. A final solve after the last step makes the
-    stored solution consistent with the returned weights.
+    raw embeddings), backpropagate through the encoder, and take one Adam
+    step on all encoder weights at once (they live in one flat vector; Adam
+    is elementwise, so this equals one step per array). A final solve after
+    the last step makes the stored solution consistent with the returned
+    weights.
     """
     feats, masks, cogs, index = _stack_records(records)
     n = len(records)
@@ -182,8 +184,9 @@ def train_model(records: list[VisitRecord], cfg: TrainConfig) -> TrainedModel:
     ccfg = cfg.contrastive()
     rng = np.random.default_rng(cfg.seed)
     params = EncoderParams.init(feats.shape[2], cfg.hidden_dim, cfg.r, rng)
-    opt = {name: AdamState.for_params(arr, lr=cfg.learning_rate)
-           for name, arr in params.as_dict().items()}
+    shapes = {name: arr.shape for name, arr in params.as_dict().items()}
+    flat = np.concatenate([arr.ravel() for arr in params.as_dict().values()])
+    opt = AdamState.for_params(flat, lr=cfg.learning_rate)
     trace = np.zeros((cfg.epochs, 4))
     # zero-variance rows per view label: rows seen, solves affected
     degenerate: dict[str, tuple[set[int], int]] = {}
@@ -215,10 +218,8 @@ def train_model(records: list[VisitRecord], cfg: TrainConfig) -> TrainedModel:
             raise NonFiniteLossError(epoch, l_corr, l_ind, l_mul)
         trace[epoch] = (l_corr, l_ind, l_mul, l_total)
         grads = encode_batch_vjp(params, caches, d_pooled)
-        updated = {}
-        for name, arr in params.as_dict().items():
-            updated[name], opt[name] = adam_step(opt[name], arr, grads[name])
-        params = EncoderParams(**updated)
+        flat, opt = adam_step(opt, flat, np.concatenate([grads[k].ravel() for k in shapes]))
+        params = EncoderParams(**_unflatten(flat, shapes))
     pooled, _, _, _ = encode_batch(params, feats, masks)
     brain, cog, stats = z_score(pooled)
     solution = solve_gcca(brain, cog, cfg.d_r, cfg.ridge)

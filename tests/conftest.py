@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -45,6 +47,27 @@ def random_connectivity(rng: np.random.Generator, n: int) -> np.ndarray:
     mat = (raw + raw.T) / 2
     np.fill_diagonal(mat, 1.0)
     return mat
+
+
+def rewrite_model_header(path, damage) -> None:
+    """Rewrite the JSON header of the .cgmodel at `path` through `damage`,
+    keeping the array payload."""
+    blob = path.read_bytes()
+    header_len = int.from_bytes(blob[4:12], "little")
+    header = damage(json.loads(blob[12 : 12 + header_len]))
+    encoded = json.dumps(header).encode()
+    path.write_bytes(
+        blob[:4] + len(encoded).to_bytes(8, "little") + encoded + blob[12 + header_len :]
+    )
+
+
+def with_array_shape(name: str, reshape):
+    """A header damage that passes array `name`'s shape through `reshape`."""
+    def damage(header):
+        spec = next(a for a in header["arrays"] if a["name"] == name)
+        spec["shape"] = reshape(spec["shape"])
+        return header
+    return damage
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from cograca.cli import full_help_text, main, rebuild_argv
 from cograca.data import load_dataset, load_model
+
+from conftest import rewrite_model_header, with_array_shape
 
 HERE = Path(__file__).parent
 
@@ -171,6 +174,17 @@ class TestFingerprint:
     def test_missing_run_record_exit_3(self, workspace, tmp_path):
         assert main(["fingerprint", "--data", str(workspace / "data"),
                      "--run", str(tmp_path), "--out", str(tmp_path / "fp")]) == 3
+
+    def test_wrong_rank_model_array_exit_4(self, workspace, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(workspace / "run", run)
+        rewrite_model_header(run / "fold_1.cgmodel",
+                             with_array_shape("w1", lambda s: [s[0] * s[1]]))
+        assert main(["fingerprint", "--data", str(workspace / "data"),
+                     "--run", str(run), "--out", str(tmp_path / "fp")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("cograca: error[4]:")
+        assert "fold_1.cgmodel: array w1 has shape" in err
 
 
 class TestBaselineCli:

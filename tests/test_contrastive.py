@@ -56,6 +56,51 @@ def reference_multimodal(emb, cogs, index, cfg):
     return -total / len(subjects)
 
 
+def loop_multimodal(embeddings, cognition, index, cfg):
+    """The loss and gradient subject by subject, one sub-batch each: the
+    per-subject loop the block-masked kernel replaced, kept as its oracle
+    (including which zero-norm row it reports first)."""
+
+    def unit_rows(x, sub, what):
+        norms = np.sqrt((x * x).sum(axis=1))
+        bad = np.flatnonzero(norms < 1e-12)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"zero-norm {what} for subject {sub.subject_ids[i]!r} "
+                f"visit {sub.visit_ids[i]}; cosine similarity undefined"
+            )
+        return x / norms[:, None], norms
+
+    grad = np.zeros_like(embeddings)
+    tau = cfg.temperature
+    loss = 0.0
+    for subject in index.multi_visit_subjects():
+        pos = np.array(index.groups[subject])
+        sub = BatchIndex.from_visits(
+            [index.subject_ids[i] for i in pos], [index.visit_ids[i] for i in pos]
+        )
+        unit_h, norms_h = unit_rows(embeddings[pos], sub, "embedding")
+        unit_c, _ = unit_rows(cognition[pos], sub, "cognitive vector")
+        logits = (unit_h @ unit_c.T) / tau
+        denom_logits = logits.copy()
+        if not cfg.include_positive_in_denominator:
+            np.fill_diagonal(denom_logits, -np.inf)
+        row_max = denom_logits.max(axis=1, keepdims=True)
+        expd = np.exp(denom_logits - row_max)
+        z = expd.sum(axis=1, keepdims=True)
+        loss -= float(np.trace(logits) - (np.log(z) + row_max).sum())
+        g_unit = ((expd / z - np.eye(len(pos))) / tau) @ unit_c
+        grad[pos] += (g_unit - (g_unit * unit_h).sum(axis=1, keepdims=True) * unit_h) / norms_h[:, None]
+    return loss / index.n_subjects, grad / index.n_subjects
+
+
+# multi-visit subjects a, b, c interleaved with single-visit d, e, visit
+# numbers out of order
+INTERLEAVED = (("c", 3), ("a", 2), ("d", 1), ("b", 1), ("a", 1), ("c", 1), ("e", 4),
+               ("b", 2), ("c", 2))
+
+
 def make_batch(rng, subjects=("a", "a", "b", "b", "c"), d=6):
     n = len(subjects)
     visits = []
@@ -258,6 +303,40 @@ class TestMultimodal:
         emb, cogs, index = make_batch(rng)
         with pytest.raises(ValueError, match="dim"):
             multimodal_loss(emb, cogs[:, :4], index, ContrastiveConfig())
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_matches_per_subject_loop(self, seed, flag):
+        rng = np.random.default_rng(seed)
+        index = BatchIndex.from_visits(*zip(*INTERLEAVED))
+        emb = rng.standard_normal((index.n_visits, 5))
+        cogs = rng.standard_normal((index.n_visits, 5))
+        cfg = ContrastiveConfig(temperature=0.7, include_positive_in_denominator=flag)
+        loss, grad = multimodal_loss(emb, cogs, index, cfg)
+        ref_loss, ref_grad = loop_multimodal(emb, cogs, index, cfg)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+        assert np.all(grad[[2, 6]] == 0.0)  # single-visit subjects d and e
+
+    # (view, batch row) pairs set to zero; rows follow INTERLEAVED
+    @pytest.mark.parametrize("zeros", [
+        [("cog", 1), ("emb", 3)],  # a's cognitive vector, then b's embedding
+        [("emb", 7), ("cog", 5)],  # c comes first in the batch: its cognition
+        [("emb", 4), ("cog", 1)],  # a's second embedding before its first cognition
+        [("emb", 2), ("cog", 7)],  # single-visit d is never normalized
+    ])
+    def test_zero_norm_error_names_the_loops_row(self, zeros):
+        rng = np.random.default_rng(0)
+        index = BatchIndex.from_visits(*zip(*INTERLEAVED))
+        views = {"emb": rng.standard_normal((index.n_visits, 5)),
+                 "cog": rng.standard_normal((index.n_visits, 5))}
+        for view, row in zeros:
+            views[view][row] = 0.0
+        with pytest.raises(ValueError, match="zero-norm") as expected:
+            loop_multimodal(views["emb"], views["cog"], index, ContrastiveConfig())
+        with pytest.raises(ValueError, match="zero-norm") as got:
+            multimodal_loss(views["emb"], views["cog"], index, ContrastiveConfig())
+        assert str(got.value) == str(expected.value)
 
 
 class TestTotalLoss:

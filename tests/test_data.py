@@ -20,7 +20,7 @@ from cograca.data import (
 )
 from cograca.pipeline import TrainConfig, train_model
 
-from conftest import random_connectivity
+from conftest import random_connectivity, rewrite_model_header, with_array_shape
 
 SMALL = SyntheticConfig(subjects=8, rois=10, d_cog=6, latent_dim=3, seed=11)
 
@@ -222,13 +222,7 @@ def _saved_with_header(tmp_path, damage):
     """Save a tiny model, then rewrite its JSON header through `damage`."""
     path = tmp_path / "m.cgmodel"
     save_model(_tiny_model(), path)
-    blob = path.read_bytes()
-    header_len = int.from_bytes(blob[4:12], "little")
-    header = damage(json.loads(blob[12 : 12 + header_len]))
-    encoded = json.dumps(header).encode()
-    path.write_bytes(
-        blob[:4] + len(encoded).to_bytes(8, "little") + encoded + blob[12 + header_len :]
-    )
+    rewrite_model_header(path, damage)
     return path
 
 
@@ -249,6 +243,21 @@ _WRONG_TYPES = {
     "shape-nested": _with_first_array(shape=[[3, 4]]),
     "config-not-object": lambda header: {**header, "config": [1, 2]},
     "train-keys-not-pairs": lambda header: {**header, "train_keys": 5},
+}
+
+# the same payload under a shape of the wrong rank or with dims that disagree
+# between arrays: each once exited 1 (IndexError, TypeError) or loaded
+_WRONG_SHAPES = {
+    "w1-flattened": with_array_shape("w1", lambda s: [s[0] * s[1]]),
+    "m1-matrix": with_array_shape("m1", lambda s: [2, s[0] // 2]),
+    "r-transposed": with_array_shape("r", lambda s: s[::-1]),
+    "u_brain-transposed": with_array_shape("u_brain", lambda s: s[::-1]),
+    "u_cog-transposed": with_array_shape("u_cog", lambda s: s[::-1]),
+    "eigenvalues-column": with_array_shape("eigenvalues", lambda s: s + [1]),
+    "ridge_used-row": with_array_shape("ridge_used", lambda s: [1] + s),
+    "brain_std-row": with_array_shape("brain_std", lambda s: [1] + s),
+    "cog_mean-column": with_array_shape("cog_mean", lambda s: s + [1]),
+    "loss_trace-transposed": with_array_shape("loss_trace", lambda s: s[::-1]),
 }
 
 
@@ -315,6 +324,13 @@ class TestModelFile:
     def test_wrong_typed_header_detected(self, tmp_path, damage):
         path = _saved_with_header(tmp_path, _WRONG_TYPES[damage])
         with pytest.raises(DataValidationError):
+            load_model(path)
+
+    @pytest.mark.parametrize("damage", sorted(_WRONG_SHAPES))
+    def test_wrong_shaped_array_detected(self, tmp_path, damage):
+        path = _saved_with_header(tmp_path, _WRONG_SHAPES[damage])
+        array = damage.split("-")[0]
+        with pytest.raises(DataValidationError, match=f"m.cgmodel: array {array} has shape"):
             load_model(path)
 
     def test_header_is_json_with_version(self, tmp_path):

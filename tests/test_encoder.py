@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from cograca.encoder import (
     ConnectivityGraph,
     EncoderParams,
+    _layer_backward,
+    _layer_forward,
     build_graph,
     encode_batch,
     encode_batch_vjp,
@@ -257,3 +259,146 @@ class TestVjp:
         params = EncoderParams.init(5, hidden=4, out=3, rng=rng)
         with pytest.raises(ValueError):
             encode_graph_vjp(params, graph, np.zeros(4))
+
+
+# ---- oracle: the per-layer kernels as einsum contractions, one temporary
+# per intermediate, exactly as they were before the GEMM rewrite
+
+def _einsum_layer_forward(w, m, feats, mask):
+    h = w.shape[1]
+    z = feats @ w
+    s = z @ m[:h]
+    t = z @ m[h:]
+    e_raw = s[:, :, None] + t[:, None, :]
+    scores = np.where(mask, np.maximum(e_raw, 0.0), -np.inf)
+    scores = scores - scores.max(axis=2, keepdims=True)
+    expd = np.exp(scores)
+    attn = expd / expd.sum(axis=2, keepdims=True)
+    pre = attn @ z
+    h_out = np.maximum(pre, 0.0)
+    return h_out, attn, (feats, z, e_raw, attn, pre, mask)
+
+
+def _einsum_layer_backward(w, m, cache, d_h_out):
+    feats, z, e_raw, attn, pre, mask = cache
+    h = w.shape[1]
+    d_pre = d_h_out * (pre > 0.0)
+    d_attn = np.einsum("nvh,nqh->nvq", d_pre, z)
+    d_z = np.einsum("nvq,nvh->nqh", attn, d_pre)
+    inner = (attn * d_attn).sum(axis=2, keepdims=True)
+    d_e = np.where(mask & (e_raw > 0.0), attn * (d_attn - inner), 0.0)
+    d_s = d_e.sum(axis=2)
+    d_t = d_e.sum(axis=1)
+    d_z += d_s[:, :, None] * m[:h] + d_t[:, :, None] * m[h:]
+    d_m = np.concatenate(
+        [np.einsum("nv,nvh->h", d_s, z), np.einsum("nv,nvh->h", d_t, z)]
+    )
+    d_w = np.einsum("nvd,nvh->dh", feats, d_z)
+    d_feats = d_z @ w.T
+    return d_feats, d_w, d_m
+
+
+def _dyadic(x):
+    # multiples of 1/8: products and short sums of them are exact, so both
+    # kernels see the same scores, ties at exactly 0 included
+    return np.round(x * 8.0) / 8.0
+
+
+def _oracle_case(seed, exact_ties, n=5, v=9, hidden=6, out=4):
+    """A batch with sparse neighborhoods, an isolated node (graph 0, node 0)
+    and dead hidden units (layer-1 unit 0, layer-2 unit 1). With exact_ties
+    every input is dyadic and each m is (a, -a), so every self-score is
+    exactly 0 and the first layer's other scores are exact."""
+    r = np.random.default_rng(seed)
+    graphs = []
+    for i in range(n):
+        corr = random_connectivity(r, v)
+        corr[np.abs(corr) < 0.45] = 0.0
+        if exact_ties:
+            corr = _dyadic(corr)
+        if i == 0:
+            corr[0, 1:] = corr[1:, 0] = 0.0
+        graphs.append(build_graph(corr))
+    feats = np.stack([g.attributes for g in graphs])
+    masks = np.stack([g.neighbor_mask() for g in graphs])
+    p = EncoderParams.init(v, hidden=hidden, out=out, rng=r)
+    w1, m1, w2, m2 = (x.copy() for x in (p.w1, p.m1, p.w2, p.m2))
+    if exact_ties:
+        w1, w2 = _dyadic(2.0 * w1), _dyadic(2.0 * w2)
+        m1 = np.concatenate([_dyadic(m1[:hidden]), -_dyadic(m1[:hidden])])
+        m2 = np.concatenate([_dyadic(m2[:out]), -_dyadic(m2[:out])])
+    w1[:, 0] = -1.0  # attributes are nonnegative: z <= 0, so unit 0 is dead
+    w2[:, 1] = -0.5  # layer-1 outputs are nonnegative: likewise
+    params = EncoderParams(w1=w1, m1=m1, w2=w2, m2=m2)
+    d_pooled = r.standard_normal((n, out))
+    return params, feats, masks, d_pooled
+
+
+def _close(actual, expected, rel=1e-12):
+    scale = max(float(np.abs(expected).max()), 1e-300)
+    return float(np.abs(actual - expected).max()) <= rel * scale
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("exact_ties", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_layers_match_einsum_kernels(self, seed, exact_ties):
+        params, feats, masks, d_pooled = _oracle_case(seed, exact_ties)
+        assert not masks[0, 0, 1:].any()  # the isolated node
+        x = feats
+        layers = [(params.w1, params.m1, 0), (params.w2, params.m2, 1)]
+        for w, m, dead in layers:
+            h_out, attn, cache = _layer_forward(w, m, x, masks)
+            ref_h, ref_attn, ref_cache = _einsum_layer_forward(w, m, x, masks)
+            assert _close(h_out, ref_h) and _close(attn, ref_attn)
+            assert np.all(h_out[:, :, dead] == 0.0)
+            d_out = np.random.default_rng(seed).standard_normal(h_out.shape)
+            got = _layer_backward(w, m, cache, d_out)
+            ref = _einsum_layer_backward(w, m, ref_cache, d_out)
+            for a, b in zip(got, ref):
+                assert _close(a, b)
+            x = h_out
+        if exact_ties:
+            # every self-score is exactly 0: the score gate is shut on the
+            # diagonal, and the reference's e_raw agrees
+            diag = np.eye(feats.shape[1], dtype=bool)
+            assert np.all(ref_cache[2][:, diag] == 0.0)
+            assert not cache[3][:, diag].any()
+
+    @pytest.mark.parametrize("exact_ties", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_encoder_gradients_match_einsum_kernels(self, seed, exact_ties):
+        params, feats, masks, d_pooled = _oracle_case(seed, exact_ties)
+        pooled, nodes, attns, caches = encode_batch(params, feats, masks)
+        grads = encode_batch_vjp(params, caches, d_pooled)
+        h1, a1, c1 = _einsum_layer_forward(params.w1, params.m1, feats, masks)
+        h2, a2, c2 = _einsum_layer_forward(params.w2, params.m2, h1, masks)
+        assert _close(pooled, h2.mean(axis=1)) and _close(nodes, h2)
+        assert _close(attns[0], a1) and _close(attns[1], a2)
+        v = feats.shape[1]
+        d_h2 = np.repeat(d_pooled[:, None, :] / v, v, axis=1)
+        d_h1, d_w2, d_m2 = _einsum_layer_backward(params.w2, params.m2, c2, d_h2)
+        _, d_w1, d_m1 = _einsum_layer_backward(params.w1, params.m1, c1, d_h1)
+        ref = {"w1": d_w1, "m1": d_m1, "w2": d_w2, "m2": d_m2}
+        for name in ref:
+            assert grads[name].shape == ref[name].shape
+            assert _close(grads[name], ref[name]), name
+        assert np.all(grads["w2"][0] == 0.0)  # fed by the dead layer-1 unit
+
+    def test_inputs_are_never_written(self):
+        params, feats, masks, d_pooled = _oracle_case(0, exact_ties=False)
+        before = (feats.tobytes(), masks.tobytes(), d_pooled.tobytes())
+        _, _, _, caches = encode_batch(params, feats, masks)
+        assert (feats.tobytes(), masks.tobytes()) == before[:2]
+        cached = [arr.tobytes() for layer in caches for arr in layer]
+        encode_batch_vjp(params, caches, d_pooled)
+        assert [arr.tobytes() for layer in caches for arr in layer] == cached
+        assert (feats.tobytes(), masks.tobytes(), d_pooled.tobytes()) == before
+
+    def test_cache_holds_gates_as_booleans(self):
+        params, feats, masks, _ = _oracle_case(1, exact_ties=False)
+        _, _, attns, caches = encode_batch(params, feats, masks)
+        for attn, (x, z, cached_attn, score_gate, out_gate) in zip(attns, caches):
+            assert cached_attn is attn
+            assert score_gate.dtype == bool and out_gate.dtype == bool
+            assert not score_gate[~masks].any()

@@ -1,9 +1,11 @@
 import dataclasses
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import cograca.pipeline
 from cograca.data import SyntheticConfig, generate_synthetic
 from cograca.pipeline import (
     NonFiniteLossError,
@@ -145,6 +147,23 @@ class TestTrainModel:
         assert len(zero_var) == 1
         assert zero_var[0].startswith("brain view rows [")
         assert "of 6 GCCA solves (5 epochs and the final solve)" in zero_var[0]
+
+    def test_stage_calls_per_epoch(self, records, monkeypatch):
+        # The stages are looked up on cograca.pipeline at call time, which is
+        # where a tracer wraps them: pin how often each one runs.
+        calls = Counter()
+        for name in ("encode_batch", "encode_batch_vjp", "solve_gcca",
+                     "individualized_loss", "multimodal_loss", "adam_step"):
+            def counted(*args, _name=name, _fn=getattr(cograca.pipeline, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cograca.pipeline, name, counted)
+        epochs = 7
+        train_model(records, dataclasses.replace(TINY_TRAIN, epochs=epochs))
+        assert calls == {
+            "encode_batch": epochs + 1, "encode_batch_vjp": epochs, "solve_gcca": epochs + 1,
+            "individualized_loss": epochs, "multimodal_loss": epochs, "adam_step": epochs,
+        }
 
     def test_too_few_visits_rejected(self, records):
         cfg = dataclasses.replace(TINY_TRAIN, d_r=len(records))
