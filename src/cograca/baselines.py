@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import VisitRecord
-from .numerics import _derive_seed, _lead_signs, sym_eig
+from .numerics import _derive_seed, _lead_signs, gram_svd, sym_eig
 
 __all__ = [
     "LinearReducer",
@@ -67,7 +67,9 @@ def pca_fit(
     """PCA on samples x features data.
 
     Keeps n_components axes when given, otherwise the smallest count whose
-    cumulative explained-variance ratio reaches the threshold.
+    cumulative explained-variance ratio reaches the threshold. The spectrum
+    and axes come from `gram_svd` of the centered data (the Gram matrix on
+    its smaller side), so the axes carry `sym_eig`'s sign convention.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
@@ -76,20 +78,20 @@ def pca_fit(
         raise ValueError(f"variance threshold must lie in (0, 1], got {variance_threshold}")
     mean = data.mean(axis=0)
     centered = data - mean
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    rank_max = min(centered.shape)
+    if n_components is not None and not 1 <= n_components <= rank_max:
+        raise ValueError(f"component count {n_components} outside [1, {rank_max}]")
+    svals, vt = gram_svd(centered, n_components or rank_max)
     total = float((svals**2).sum())
     if total <= 0.0:
         raise ValueError("data has zero variance; nothing to reduce")
     ratios = svals**2 / total
     if n_components is None:
         n_components = int(np.searchsorted(np.cumsum(ratios), variance_threshold - 1e-12) + 1)
-    if not 1 <= n_components <= len(svals):
-        raise ValueError(f"component count {n_components} outside [1, {len(svals)}]")
-    axes = vt[:n_components]
     return LinearReducer(
         kind="pca",
         mean=mean,
-        components=axes * _lead_signs(axes.T)[:, None],
+        components=vt[:n_components],
         explained_variance_ratio=ratios[:n_components],
     )
 
@@ -110,7 +112,15 @@ def ica_fit(
 ) -> LinearReducer:
     """FastICA with whitening, symmetric decorrelation, and the tanh
     contrast. Non-convergence keeps the last iterate and flags the reducer;
-    near-Gaussian recovered sources clear the identifiable flag."""
+    near-Gaussian recovered sources clear the identifiable flag.
+
+    Whitening takes the top n_components right singular vectors of the
+    centered data from `gram_svd` (the Gram matrix on its smaller side), so
+    they carry `sym_eig`'s sign convention. The data must have that many
+    directions whose Gram eigenvalue exceeds 1e-10 of the largest (a
+    singular value above 1e-5 of the largest): a null direction's Gram
+    eigenvalue reads up to about max(n, d) * eps of the largest, not 0.
+    """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("need a 2-D samples x features array")
@@ -121,8 +131,8 @@ def ica_fit(
         raise ValueError(f"cannot extract {n_components} components from {d} features")
     mean = data.mean(axis=0)
     centered = data - mean
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    if svals[min(n_components, len(svals)) - 1] <= 1e-12 * max(1.0, svals[0]):
+    svals, vt = gram_svd(centered, n_components)
+    if svals[n_components - 1] ** 2 <= 1e-10 * svals[0] ** 2:
         raise ValueError("data rank is below the requested component count")
     # rows of k whiten the centered data to unit covariance
     k = np.sqrt(n) * (vt[:n_components] / svals[:n_components, None])
@@ -279,7 +289,9 @@ def baseline_pipeline(
     seed: int = 0,
 ) -> list[FoldRepresentations]:
     """Fit one baseline per fold on the training visits and represent both
-    splits. fMRI features are the vectorized thresholded connectivity."""
+    splits. fMRI features are the vectorized thresholded connectivity.
+    FastICA folds that stop at the iteration limit are reported in one
+    warning with their count."""
     if kind not in BASELINE_KINDS:
         raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {kind!r}")
     feats = np.stack([vectorize_connectivity(r.graph.adjacency) for r in records])
@@ -310,7 +322,16 @@ def baseline_pipeline(
                 )
             )
         return results
-    reducers = {fold_idx: fit_reducer(fold_idx, train) for fold_idx, train, _ in splits}
+    # one non-convergence warning for the whole call, not one per fold
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="FastICA did not converge")
+        reducers = {fold_idx: fit_reducer(fold_idx, train) for fold_idx, train, _ in splits}
+    stalled = sum(not red.converged for red in reducers.values())
+    if stalled:
+        warnings.warn(
+            f"FastICA did not converge in {stalled} of {len(splits)} folds; "
+            "those folds keep the last iterate"
+        )
     if kind == "fmri-only-ica":
         for fold_idx, train, test in splits:
             red = reducers[fold_idx]

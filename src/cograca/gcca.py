@@ -2,7 +2,8 @@
 
 Both views are row z-scored (training statistics reused on held-out data),
 then the shared representation R is read off the top eigenvectors of the sum
-of the two ridge-regularized projection matrices. The correlation loss and
+of the two ridge-regularized projection matrices, through the thin factor
+that stacks both views' whitened features. The correlation loss and
 its gradient with respect to the brain view are closed-form, which is what
 lets the encoder train by alternating solves with gradient steps.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import pearson, sym_eig
+from .numerics import gram_svd, pearson, sym_eig
 
 __all__ = [
     "ViewMatrix",
@@ -131,7 +132,9 @@ class GccaSolution:
 
     R is d_R x N with orthonormal rows (R R^T = I); its columns are the
     training visits' fingerprints. U_view maps a view's features into the
-    shared space. eigenvalues are the full spectrum of M, descending.
+    shared space. eigenvalues are the min(N, d_brain + d_cog) eigenvalues of
+    M = P_brain + P_cognition that can be non-zero, descending; a model
+    file written with the full length-N spectrum loads unchanged.
     """
 
     r: np.ndarray
@@ -145,8 +148,9 @@ class GccaSolution:
         return self.r.shape[0]
 
 
-def _view_projection(x: np.ndarray, ridge: float | None) -> tuple[np.ndarray, np.ndarray, float]:
-    """P = X^T (X X^T + eps I)^-1 X plus the regularized covariance and eps."""
+def _whitened(x: np.ndarray, ridge: float | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """L^-1 X for the Cholesky factor L of C = X X^T + eps I, plus C and eps.
+    (L^-1 X)^T (L^-1 X) = X^T C^-1 X is the view's projection matrix P."""
     d = x.shape[0]
     cov = x @ x.T
     if ridge is None:
@@ -155,8 +159,7 @@ def _view_projection(x: np.ndarray, ridge: float | None) -> tuple[np.ndarray, np
     else:
         eps = float(ridge)
     cov = cov + eps * np.eye(d)
-    p = x.T @ np.linalg.solve(cov, x)
-    return (p + p.T) / 2.0, cov, eps
+    return np.linalg.solve(np.linalg.cholesky(cov), x), cov, eps
 
 
 def solve_gcca(
@@ -164,8 +167,12 @@ def solve_gcca(
 ) -> GccaSolution:
     """Solve the two-view problem.
 
-    Stacks the per-view projection matrices M = P_brain + P_cognition and
-    takes the top d_r eigenvectors of M as the rows of R; loadings follow as
+    R holds the top d_r eigenvectors of M = P_brain + P_cognition, where
+    P = X^T (X X^T + eps I)^-1 X. M is never formed: it is B^T B for the
+    (d_brain + d_cog) x N stack B of both views' Cholesky-whitened factors
+    (the MAXVAR construction), so R is B's top d_r right singular vectors
+    and M's eigenvalues are B's squared singular values, both read off the
+    Gram matrix on B's smaller side. Loadings follow as
     U = (X X^T + eps I)^-1 X R^T. ridge=None applies a scaled ridge
     (1e-4 * trace / d per view); a float is used verbatim for both views.
     """
@@ -176,17 +183,17 @@ def solve_gcca(
         raise ValueError(
             f"need more visits than shared dimensions: N={n} requires d_r < {n}"
         )
-    p_b, cov_b, eps_b = _view_projection(brain.features, ridge)
-    p_c, cov_c, eps_c = _view_projection(cog.features, ridge)
-    dec = sym_eig(p_b + p_c)
-    r = dec.eigenvectors[:, :d_r].T
+    white_b, cov_b, eps_b = _whitened(brain.features, ridge)
+    white_c, cov_c, eps_c = _whitened(cog.features, ridge)
+    # sym_eig by this module's name, so a wrapper installed on it sees the solve
+    svals, r = gram_svd(np.vstack([white_b, white_c]), d_r, eig=sym_eig)
     u_brain = np.linalg.solve(cov_b, brain.features @ r.T)
     u_cog = np.linalg.solve(cov_c, cog.features @ r.T)
     return GccaSolution(
         r=r,
         u_brain=u_brain,
         u_cog=u_cog,
-        eigenvalues=dec.eigenvalues,
+        eigenvalues=svals**2,
         ridge=(eps_b, eps_c),
     )
 

@@ -1,7 +1,8 @@
 """Deterministic numerical primitives shared by the rest of the package.
 
-Symmetric eigendecomposition with a fixed sign/order convention, a pure
-functional Adam update, and the three statistics used by the evaluation
+Symmetric eigendecomposition with a fixed sign/order convention, the thin
+SVD that goes through it on a matrix's small Gram side, a pure functional
+Adam update, and the three statistics used by the evaluation
 stack (Pearson correlation, 1-D Wasserstein distance, Mann-Whitney U).
 """
 
@@ -19,6 +20,7 @@ __all__ = [
     "AdamState",
     "MannWhitneyResult",
     "sym_eig",
+    "gram_svd",
     "adam_step",
     "pearson",
     "wasserstein_1d",
@@ -96,6 +98,48 @@ def sym_eig(a: np.ndarray) -> EigenDecomposition:
     vectors = vectors * _lead_signs(vectors)
     values, vectors = _order_degenerate(values, vectors)
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
+
+
+def gram_svd(a: np.ndarray, k: int, eig=sym_eig) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and top-k right singular vectors of A (m x n), from
+    `eig` of the Gram matrix on A's smaller side.
+
+    With n <= m that is A^T A (n x n), whose eigenvectors are the right
+    singular vectors. Otherwise it is A A^T (m x m): its eigenvectors are the
+    left singular vectors, lifted by A^T and orthonormalised by QR. The cost
+    is one Gram product and one min(m, n)-sized eigendecomposition, not an
+    m x n factorisation. `eig` is `sym_eig`; a caller passes the name it
+    resolves in its own module, so a wrapper installed there sees the solve.
+
+    Returns (svals, vt): the min(m, n) singular values, descending (Gram
+    eigenvalues clipped at 0 before the root), and the k x n top right
+    singular vectors as orthonormal rows under `sym_eig`'s sign and
+    ordering contract. The Gram form resolves a singular value only down to
+    about sqrt(max(m, n) * eps) * s_0; rows at or below that floor (and any
+    beyond m) are an orthonormal completion, which lies in A's null space.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+    m, n = a.shape
+    if not 1 <= k <= n:
+        raise ValueError(f"requested {k} right singular vectors of a {m} x {n} matrix")
+    if n <= m:
+        dec = eig(a.T @ a)
+        vectors = dec.eigenvectors[:, :k]
+    else:
+        dec = eig(a @ a.T)
+        top = min(k, m)
+        lifted = np.zeros((n, k))
+        lifted[:, :top] = a.T @ dec.eigenvectors[:, :top]
+        # a lifted column's norm is its singular value; QR normalises it and
+        # completes null and padding columns orthogonally to the rest
+        vectors = np.linalg.qr(lifted)[0]
+        vectors = vectors * _lead_signs(vectors)
+        values = np.zeros(k)
+        values[:top] = dec.eigenvalues[:top]
+        _, vectors = _order_degenerate(values, vectors)
+    return np.sqrt(np.maximum(dec.eigenvalues, 0.0)), vectors.T
 
 
 @dataclass(frozen=True)

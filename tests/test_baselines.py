@@ -1,8 +1,10 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
+import cograca.baselines as baselines
 from cograca.baselines import (
     BASELINE_KINDS,
     amari_index,
@@ -14,6 +16,7 @@ from cograca.baselines import (
     vectorize_connectivity,
 )
 from cograca.data import SyntheticConfig, generate_synthetic
+from cograca.numerics import _lead_signs
 from cograca.pipeline import make_subject_folds
 
 from test_gcca import first_canonical_correlation
@@ -65,6 +68,17 @@ class TestPca:
         data = rng.standard_normal((30, 5)) + 7.0
         red = pca_fit(data, n_components=2)
         assert np.max(np.abs(red.transform(data).mean(axis=0))) < 1e-10
+
+    @pytest.mark.parametrize("shape", [(40, 8), (10, 30)], ids=["tall", "wide"])
+    def test_matches_svd_oracle(self, rng, shape):
+        data = rng.standard_normal(shape) * np.linspace(1.0, 4.0, shape[1]) + 2.0
+        red = pca_fit(data, n_components=5)
+        centered = data - data.mean(axis=0)
+        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+        axes = vt[:5] * _lead_signs(vt[:5].T)[:, None]
+        assert np.max(np.abs(red.components - axes)) < 1e-10
+        ratios = svals[:5] ** 2 / np.sum(svals**2)
+        assert np.max(np.abs(red.explained_variance_ratio - ratios)) < 1e-12
 
     def test_constant_data_rejected(self):
         with pytest.raises(ValueError):
@@ -122,6 +136,15 @@ class TestIca:
     def test_too_many_components_rejected(self, rng):
         with pytest.raises(ValueError):
             ica_fit(rng.standard_normal((50, 3)), n_components=4)
+
+    def test_rank_below_component_count_rejected(self, rng):
+        # rank 3: its null directions' Gram eigenvalues read about n * eps
+        # of the largest, not 0, so a check ported unchanged from singular
+        # values (s_k <= 1e-12 s_0) would accept this
+        data = rng.laplace(size=(200, 3)) @ rng.standard_normal((3, 10))
+        with pytest.raises(ValueError, match="data rank is below the requested component count"):
+            ica_fit(data, n_components=5)
+        assert ica_fit(data, n_components=3, seed=0).unmixing.shape == (3, 10)
 
 
 class TestAmari:
@@ -250,6 +273,21 @@ class TestBaselinePipeline:
         b = baseline_pipeline(records, "fmri-only-ica", folds, n_components=4, seed=2)
         for fa, fb in zip(a, b):
             assert np.array_equal(fa.test_representations, fb.test_representations)
+
+    def test_one_non_convergence_warning_per_call(self, cohort, monkeypatch):
+        records, folds = cohort
+        fit = baselines.ica_fit
+        monkeypatch.setattr(
+            baselines, "ica_fit", lambda *args, **kwargs: fit(*args, **kwargs, max_iter=1)
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            baseline_pipeline(records, "ica-cca", folds, n_components=4)
+        messages = [str(w.message) for w in caught if "converge" in str(w.message)]
+        assert messages == [
+            f"FastICA did not converge in {len(folds)} of {len(folds)} folds; "
+            "those folds keep the last iterate"
+        ]
 
     def test_out_of_fold_matrix_rejects_gaps(self, cohort):
         records, folds = cohort

@@ -284,6 +284,21 @@ class TestModelFile:
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_full_length_spectrum_still_loads(self, tmp_path):
+        # earlier versions stored all N eigenvalues of P_b + P_c
+        model = _tiny_model()
+        n = len(model.train_keys)
+        spectrum = np.zeros(n)
+        spectrum[: model.solution.eigenvalues.shape[0]] = model.solution.eigenvalues
+        old = dataclasses.replace(
+            model, solution=dataclasses.replace(model.solution, eigenvalues=spectrum)
+        )
+        path = tmp_path / "m.cgmodel"
+        save_model(old, path)
+        back = load_model(path)
+        assert np.array_equal(back.solution.eigenvalues, spectrum)
+        assert np.array_equal(back.solution.r, model.solution.r)
+
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "m.cgmodel"
         path.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -259,18 +259,48 @@ class TestProjectFingerprint:
         assert np.allclose(f12, f1 + f2)
 
 
-def test_stacked_eigen_matches_sym_eig_of_m(rng):
-    # The solver must agree with directly eigendecomposing P_b + P_c.
-    brain, cog = coupled_views(rng, n=40)
-    b, c, _ = preprocess_views(brain, cog)
-    sol = solve_gcca(b, c, d_r=4, ridge=1e-8)
+def _dense_m(b: ViewMatrix, c: ViewMatrix, ridge: tuple[float, float]) -> np.ndarray:
+    """The N x N matrix P_b + P_c the solver never forms: the oracle."""
 
     def projection(x, eps):
         cov = x @ x.T + eps * np.eye(x.shape[0])
         p = x.T @ np.linalg.solve(cov, x)
         return (p + p.T) / 2
 
-    m = projection(b.features, 1e-8) + projection(c.features, 1e-8)
-    dec = sym_eig(m)
-    assert np.allclose(sol.eigenvalues[:4], dec.eigenvalues[:4], atol=1e-9)
-    assert np.allclose(np.abs(sol.r), np.abs(dec.eigenvectors[:, :4].T), atol=1e-7)
+    return projection(b.features, ridge[0]) + projection(c.features, ridge[1])
+
+
+def test_stacked_eigen_matches_sym_eig_of_m():
+    # The thin solve must agree with directly eigendecomposing P_b + P_c,
+    # whichever side of the stacked factor is the small one: N above
+    # d_brain + d_cog, then below it. The scaled ridge splits the eigenvalue
+    # 2 that the views' shared directions take when N - 1 < d_brain + d_cog,
+    # so R is well determined there too.
+    for n, d_brain, d_cog in [(40, 5, 4), (12, 8, 7)]:
+        rng = np.random.default_rng(n)
+        brain, cog = coupled_views(rng, n=n, d_brain=d_brain, d_cog=d_cog)
+        b, c, _ = preprocess_views(brain, cog)
+        sol = solve_gcca(b, c, d_r=4)
+        dec = sym_eig(_dense_m(b, c, sol.ridge))
+        kept = min(n, d_brain + d_cog)
+        assert sol.eigenvalues.shape == (kept,)
+        assert np.max(np.abs(sol.eigenvalues - dec.eigenvalues[:kept])) < 1e-12
+        # the spectrum left out is M's null space
+        assert np.max(np.abs(dec.eigenvalues[kept:]), initial=0.0) < 1e-12
+        # both carry sym_eig's sign convention, so R matches elementwise
+        assert np.max(np.abs(sol.r - dec.eigenvectors[:, :4].T)) < 1e-10
+        assert np.max(np.abs(sol.r @ sol.r.T - np.eye(4))) < 1e-12
+
+
+def test_shared_dims_beyond_stacked_rank_are_null(rng):
+    # d_r above d_brain + d_cog: the extra rows of R complete it orthonormally
+    # inside both views' null space, so their loadings vanish.
+    brain, cog = coupled_views(rng, n=30, d_brain=3, d_cog=2)
+    b, c, _ = preprocess_views(brain, cog)
+    sol = solve_gcca(b, c, d_r=7, ridge=1e-8)
+    assert sol.eigenvalues.shape == (5,)
+    assert np.max(np.abs(sol.r @ sol.r.T - np.eye(7))) < 1e-12
+    assert np.max(np.abs(b.features @ sol.r[5:].T)) < 1e-12
+    assert np.max(np.abs(c.features @ sol.r[5:].T)) < 1e-12
+    assert np.max(np.abs(sol.u_brain[:, 5:])) < 1e-10
+    assert np.max(np.abs(sol.u_cog[:, 5:])) < 1e-10

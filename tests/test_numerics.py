@@ -9,7 +9,9 @@ from hypothesis.extra import numpy as hnp
 
 from cograca.numerics import (
     AdamState,
+    _lead_signs,
     adam_step,
+    gram_svd,
     mann_whitney_u,
     pearson,
     sym_eig,
@@ -83,6 +85,58 @@ class TestSymEig:
         dec = sym_eig(a)
         recon = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.T
         assert np.max(np.abs(recon - a)) < 1e-9 * max(1.0, np.max(np.abs(a)))
+
+
+class TestGramSvd:
+    @staticmethod
+    def _svd_oracle(a, k):
+        _, svals, vt = np.linalg.svd(a, full_matrices=False)
+        vt = vt[:k]
+        return svals, vt * _lead_signs(vt.T)[:, None]
+
+    @pytest.mark.parametrize("shape", [(40, 7), (7, 40), (9, 9)], ids=["tall", "wide", "square"])
+    def test_matches_full_svd(self, rng, shape):
+        # the oracle's rows carry the sign convention, so this checks it too
+        a = rng.standard_normal(shape) * np.linspace(1.0, 3.0, shape[1])
+        svals, vt = gram_svd(a, 5)
+        ref_vals, ref_vt = self._svd_oracle(a, 5)
+        assert svals.shape == (min(shape),)
+        assert np.max(np.abs(svals - ref_vals)) < 1e-12 * ref_vals[0]
+        assert np.max(np.abs(vt - ref_vt)) < 1e-10
+        assert np.max(np.abs(vt @ vt.T - np.eye(5))) < 1e-12
+
+    def test_solves_the_small_gram(self, rng):
+        seen = []
+
+        def eig(g):
+            seen.append(g.shape)
+            return sym_eig(g)
+
+        gram_svd(rng.standard_normal((6, 50)), 3, eig=eig)
+        gram_svd(rng.standard_normal((50, 6)), 3, eig=eig)
+        assert seen == [(6, 6), (6, 6)]
+
+    @pytest.mark.parametrize("shape", [(6, 40), (40, 6)], ids=["wide", "tall"])
+    def test_rank_deficient_rows_complete_in_null_space(self, rng, shape):
+        # rank 2: the rows past it are undetermined by A, and come out as an
+        # orthonormal completion that A maps to (rounding-level) zero
+        a = rng.standard_normal((shape[0], 2)) @ rng.standard_normal((2, shape[1]))
+        svals, vt = gram_svd(a, 4)
+        assert np.max(np.abs(vt @ vt.T - np.eye(4))) < 1e-12
+        assert np.max(np.abs(a @ vt[2:].T)) < 1e-6 * svals[0]
+        assert np.all(svals[2:] < 1e-6 * svals[0])
+
+    def test_rows_beyond_the_small_side_are_null(self, rng):
+        a = rng.standard_normal((3, 12))
+        svals, vt = gram_svd(a, 5)
+        assert svals.shape == (3,)
+        assert np.max(np.abs(vt @ vt.T - np.eye(5))) < 1e-12
+        assert np.max(np.abs(a @ vt[3:].T)) < 1e-12
+
+    @pytest.mark.parametrize("k", [0, 8])
+    def test_vector_count_checked(self, rng, k):
+        with pytest.raises(ValueError, match="right singular vectors"):
+            gram_svd(rng.standard_normal((20, 7)), k)
 
 
 class TestAdam:
