@@ -157,11 +157,20 @@ def _read_representations(path: Path):
         raise DataValidationError(
             f"{path}: header must start with subject_id,visit,fold,tag"
         )
+    if len(header) == 4 or not raw:
+        raise DataValidationError(f"{path}: no feature columns or no rows")
     keys, folds, values = [], [], []
-    for row in raw:
-        keys.append((row[0], int(row[1])))
-        folds.append(int(row[2]))
-        values.append([float(v) for v in row[4:]])
+    for rownum, row in enumerate(raw, start=2):
+        try:
+            keys.append((row[0], int(row[1])))
+            folds.append(int(row[2]))
+            values.append([float(v) for v in row[4:]])
+            valid = np.all(np.isfinite(values[-1]))
+        except ValueError:
+            valid = False
+        if not valid:
+            raise DataValidationError(f"{path}: row {rownum}: visit and fold must be "
+                                      "integers, features finite numbers")
     return keys, np.array(folds, dtype=np.int64), np.array(values, dtype=np.float64)
 
 

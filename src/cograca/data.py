@@ -104,13 +104,16 @@ def write_csv(path: Path, rows, header: list[str] | None = None) -> None:
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     """Read a CSV whose first row is its header. Returns (header, rows) as
-    strings; a missing file, an empty file, or a row whose field count
-    differs from the header's (a blank row has none) is rejected."""
+    strings; a missing, empty or undecodable file, or a row whose field
+    count differs from the header's (a blank row has none) is rejected."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"missing input file: {path}")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataValidationError(f"{path}: unreadable CSV: {exc}") from None
     if not rows:
         raise DataValidationError(f"{path}: empty file")
     header = rows[0]
@@ -142,39 +145,11 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _validated_connectivity(path: Path) -> np.ndarray:
-    mat = read_matrix_csv(path)
-    if mat.shape[0] != mat.shape[1]:
-        raise DataValidationError(f"{path}: matrix is {mat.shape}, not square")
-    if not np.all(np.isfinite(mat)):
-        raise DataValidationError(f"{path}: matrix contains non-finite entries")
-    asym = np.abs(mat - mat.T)
-    if asym.max() > 1e-6:
-        p, q = np.unravel_index(int(asym.argmax()), asym.shape)
-        raise DataValidationError(
-            f"{path}: asymmetric at ({p},{q}): |{mat[p, q]!r} - {mat[q, p]!r}| > 1e-6"
-        )
-    off = np.abs(np.diag(mat) - 1.0)
-    if off.max() > 1e-6:
-        p = int(off.argmax())
-        raise DataValidationError(
-            f"{path}: diagonal entry ({p},{p}) = {mat[p, p]!r}, expected 1"
-        )
-    out = np.abs(mat) > 1.0 + 1e-9
-    if out.any():
-        p, q = map(int, np.argwhere(out)[0])
-        raise DataValidationError(
-            f"{path}: entry ({p},{q}) = {mat[p, q]!r} outside [-1, 1]"
-        )
-    mat = np.clip((mat + mat.T) / 2.0, -1.0, 1.0)
-    np.fill_diagonal(mat, 1.0)
-    return mat
-
-
 def load_dataset(root: Path) -> list[VisitRecord]:
     """Read manifest.csv and every referenced connectivity matrix.
 
-    Violations raise DataValidationError naming the file, row, and rule.
+    Each matrix goes through build_graph. Violations raise
+    DataValidationError naming the file, the row or entry, and the rule.
     """
     root = Path(root)
     manifest = root / "manifest.csv"
@@ -186,6 +161,8 @@ def load_dataset(root: Path) -> list[VisitRecord]:
     cog_cols = header[3:]
     if not cog_cols or any(not c.startswith("cog_") for c in cog_cols):
         raise DataValidationError(f"{manifest}: cognitive columns must be named cog_*")
+    if not rows:
+        raise DataValidationError(f"{manifest}: no visit rows")
     records: list[VisitRecord] = []
     seen: set[tuple[str, int]] = set()
     v_nodes: int | None = None
@@ -216,18 +193,20 @@ def load_dataset(root: Path) -> list[VisitRecord]:
             raise FileNotFoundError(
                 f"{manifest}: row {rownum}: connectivity file not found: {conn_path}"
             )
-        mat = _validated_connectivity(conn_path)
+        mat = read_matrix_csv(conn_path)
+        try:
+            graph = build_graph(mat)
+        except ValueError as exc:
+            raise DataValidationError(f"{conn_path}: {exc}") from None
         if v_nodes is None:
-            v_nodes = mat.shape[0]
-        elif mat.shape[0] != v_nodes:
+            v_nodes = graph.n_nodes
+        elif graph.n_nodes != v_nodes:
             raise DataValidationError(
-                f"{conn_path}: matrix is {mat.shape[0]}x{mat.shape[0]}, "
+                f"{conn_path}: matrix is {graph.n_nodes}x{graph.n_nodes}, "
                 f"but the dataset uses {v_nodes} nodes"
             )
         records.append(
-            VisitRecord(
-                subject_id=subject, visit=visit, graph=build_graph(mat), cognition=cognition
-            )
+            VisitRecord(subject_id=subject, visit=visit, graph=graph, cognition=cognition)
         )
     return records
 
@@ -353,15 +332,18 @@ def _generate_raw(cfg: SyntheticConfig):
     return keys, mats, cogs, truth
 
 
+def _records(keys, mats, cogs) -> list[VisitRecord]:
+    return [
+        VisitRecord(subject_id=s, visit=v, graph=build_graph(m), cognition=c)
+        for (s, v), m, c in zip(keys, mats, cogs)
+    ]
+
+
 def generate_synthetic(cfg: SyntheticConfig) -> tuple[list[VisitRecord], GroundTruth]:
     """Generate the cohort in memory; negatives are thresholded by
     build_graph exactly as they would be on load."""
     keys, mats, cogs, truth = _generate_raw(cfg)
-    records = [
-        VisitRecord(subject_id=s, visit=v, graph=build_graph(m), cognition=c)
-        for (s, v), m, c in zip(keys, mats, cogs)
-    ]
-    return records, truth
+    return _records(keys, mats, cogs), truth
 
 
 def synthesize_to_disk(cfg: SyntheticConfig, root: Path) -> tuple[list[VisitRecord], GroundTruth]:
@@ -391,11 +373,7 @@ def synthesize_to_disk(cfg: SyntheticConfig, root: Path) -> tuple[list[VisitReco
         [[subject] + z.tolist() for subject, z in zip(truth.subject_ids, truth.latents)],
         header=["subject_id"] + [f"z_{i + 1}" for i in range(cfg.latent_dim)],
     )
-    records = [
-        VisitRecord(subject_id=s, visit=v, graph=build_graph(m), cognition=c)
-        for (s, v), m, c in zip(keys, mats, cogs)
-    ]
-    return records, truth
+    return _records(keys, mats, cogs), truth
 
 
 def _le64(arr: np.ndarray) -> np.ndarray:

@@ -24,14 +24,34 @@ __all__ = [
 ]
 
 
+def _check_connectivity(mat: np.ndarray, low: float) -> None:
+    """The one set of connectivity rules: square and non-empty, finite,
+    symmetric to 1e-6, unit diagonal to 1e-6, and every entry in [low, 1]
+    to 1e-9. A broken rule raises ValueError naming its first bad entry."""
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+        raise ValueError(f"matrix has shape {mat.shape}, not a non-empty square")
+    # a rule's violations are computed only once the rules before it hold
+    for message, violations in (
+        ("non-finite entry ({p},{q}) = {a}", lambda: ~np.isfinite(mat)),
+        ("asymmetric at ({p},{q}): |{a} - {b}| > 1e-6", lambda: np.abs(mat - mat.T) > 1e-6),
+        ("diagonal entry ({p},{q}) = {a}, expected 1",
+         lambda: np.diag(np.abs(mat.diagonal() - 1.0) > 1e-6)),
+        ("entry ({p},{q}) = {a} outside [{low:g}, 1]",
+         lambda: (mat < low - 1e-9) | (mat > 1.0 + 1e-9)),
+    ):
+        bad = violations()
+        if bad.any():
+            p, q = np.argwhere(bad)[0]
+            raise ValueError(message.format(p=p, q=q, a=mat[p, q], b=mat[q, p], low=low))
+
+
 @dataclass(frozen=True)
 class ConnectivityGraph:
     """One visit's brain network: nonnegative adjacency plus node attributes.
 
-    The adjacency keeps thresholded correlation values with a unit diagonal
-    (every node is its own neighbor). Attributes are per-node feature rows;
-    ``build_graph`` sets them to the thresholded matrix itself, so the
-    attribute dimension equals the node count there.
+    The adjacency obeys the connectivity rules with entries in [0, 1]; its
+    unit diagonal makes every node its own neighbor. Attributes are per-node
+    feature rows; ``build_graph`` passes the adjacency array itself.
     """
 
     adjacency: np.ndarray
@@ -40,20 +60,11 @@ class ConnectivityGraph:
     def __post_init__(self) -> None:
         adj = np.asarray(self.adjacency, dtype=np.float64)
         att = np.asarray(self.attributes, dtype=np.float64)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {adj.shape}")
+        _check_connectivity(adj, low=0.0)
         v = adj.shape[0]
-        if not np.all(np.isfinite(adj)) or not np.all(np.isfinite(att)):
-            raise ValueError("graph contains non-finite entries")
-        if np.abs(adj - adj.T).max() > 1e-8:
-            raise ValueError("adjacency must be symmetric")
-        if adj.min() < 0.0 or adj.max() > 1.0 + 1e-12:
-            raise ValueError("adjacency entries must lie in [0, 1]")
-        if np.abs(np.diag(adj) - 1.0).max() > 1e-6:
-            raise ValueError("adjacency diagonal must be 1 (self-loops)")
-        if att.ndim != 2 or att.shape[0] != v:
+        if att.ndim != 2 or att.shape[0] != v or not np.all(np.isfinite(att)):
             raise ValueError(
-                f"attributes must have one row per node, got {att.shape} for {v} nodes"
+                f"attributes must be finite, one row per node; got {att.shape} for {v} nodes"
             )
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "attributes", att)
@@ -67,24 +78,20 @@ class ConnectivityGraph:
 
 
 def build_graph(corr: np.ndarray) -> ConnectivityGraph:
-    """Turn a correlation matrix into a ConnectivityGraph.
-
-    Negative entries are set to zero; the unit diagonal doubles as the
-    self-loop. Attribute row p is node p's thresholded connection profile.
-    """
+    """Turn a correlation matrix that obeys the connectivity rules (entries
+    in [-1, 1]) into a ConnectivityGraph: symmetrise, clip to [0, 1], which
+    zeroes the anticorrelations, and set the unit diagonal (the self-loops)
+    exactly. The result, made read-only, is both the adjacency and the
+    attributes."""
     corr = np.asarray(corr, dtype=np.float64)
-    if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
-        raise ValueError(f"correlation matrix must be square, got shape {corr.shape}")
-    if not np.all(np.isfinite(corr)):
-        raise ValueError("correlation matrix contains non-finite entries")
-    if np.abs(corr - corr.T).max() > 1e-8:
-        raise ValueError("correlation matrix must be symmetric")
-    if corr.min() < -1.0 - 1e-12 or corr.max() > 1.0 + 1e-12:
-        raise ValueError("correlation entries must lie in [-1, 1]")
-    if np.abs(np.diag(corr) - 1.0).max() > 1e-6:
-        raise ValueError("correlation matrix must have a unit diagonal")
-    thresholded = np.where(corr > 0.0, corr, 0.0)
-    return ConnectivityGraph(adjacency=thresholded, attributes=thresholded.copy())
+    _check_connectivity(corr, low=-1.0)
+    adj = np.add(corr, corr.T)
+    adj *= 0.5
+    np.clip(adj, 0.0, 1.0, out=adj)
+    adj += 0.0  # clip keeps a -0.0; the threshold's zeros are all +0.0
+    np.fill_diagonal(adj, 1.0)
+    adj.flags.writeable = False
+    return ConnectivityGraph(adjacency=adj, attributes=adj)
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,17 @@ class TestBaselineCli:
                      "--out", str(tmp_path / "x")]) == 2
 
 
+# each rewrites the fields of one representation row
+_ROW_DAMAGE = {
+    "short": lambda f: f[:3],
+    "blank": lambda f: [""],
+    "visit": lambda f: [f[0], "two"] + f[2:],
+    "fold": lambda f: f[:2] + ["1.5"] + f[3:],
+    "text": lambda f: f[:-1] + ["x"],
+    "nan": lambda f: f[:-1] + ["nan"],
+}
+
+
 class TestEvaluateCli:
     def test_similarity(self, workspace, tmp_path):
         out = tmp_path / "sim"
@@ -269,12 +280,12 @@ class TestEvaluateCli:
                      "--components", "zero", "--out", str(tmp_path / "x")]) == 4
 
     @pytest.mark.parametrize("analysis", ["similarity", "classify", "attribute"])
-    @pytest.mark.parametrize("damage", ["short", "blank"])
+    @pytest.mark.parametrize("damage", sorted(_ROW_DAMAGE))
     def test_malformed_representation_row_exit_4(self, workspace, tmp_path, capsys,
                                                  analysis, damage):
         lines = (workspace / "fp" / "fingerprints.csv").read_text().splitlines()
         # physical line 3 of the file (the header is line 1)
-        lines[2] = ",".join(lines[2].split(",")[:3]) if damage == "short" else ""
+        lines[2] = ",".join(_ROW_DAMAGE[damage](lines[2].split(",")))
         reps = tmp_path / "reps.csv"
         reps.write_text("\n".join(lines) + "\n")
         argv = ["evaluate", analysis, "--representations", str(reps),
@@ -285,6 +296,19 @@ class TestEvaluateCli:
         err = capsys.readouterr().err
         assert err.startswith("cograca: error[4]:")
         assert "reps.csv" in err and "row 3" in err
+
+    @pytest.mark.parametrize("analysis", ["similarity", "classify", "attribute"])
+    def test_header_only_representations_exit_4(self, workspace, tmp_path, capsys, analysis):
+        # attribute once exited 1 with an IndexError here
+        header = (workspace / "fp" / "fingerprints.csv").read_text().splitlines()[0]
+        reps = tmp_path / "reps.csv"
+        reps.write_text(header + "\n")
+        argv = ["evaluate", analysis, "--representations", str(reps),
+                "--out", str(tmp_path / "o")]
+        if analysis != "similarity":
+            argv += ["--data", str(workspace / "data"), "--epochs", "2"]
+        assert main(argv) == 4
+        assert "reps.csv: no feature columns or no rows" in capsys.readouterr().err
 
     def test_interpret_bad_fold_exit_4(self, workspace, tmp_path):
         assert main(["evaluate", "interpret", "--data", str(workspace / "data"),

@@ -205,6 +205,27 @@ class TestDatasetRoundTrip:
         with pytest.raises(DataValidationError, match="node"):
             load_dataset(tmp_path)
 
+    def test_header_only_manifest_rejected(self, tmp_path):
+        synthesize_to_disk(SMALL, tmp_path)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(manifest.read_text().splitlines()[0] + "\n")
+        with pytest.raises(DataValidationError, match="manifest.csv: no visit rows"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("damage", ["undecodable", "oversized-field"])
+    @pytest.mark.parametrize("name", ["manifest.csv", "labels.csv"])
+    def test_unreadable_csv_names_file(self, tmp_path, name, damage):
+        # each once escaped as UnicodeDecodeError or csv.Error, naming no file
+        synthesize_to_disk(SMALL, tmp_path)
+        path = tmp_path / name
+        if damage == "undecodable":
+            path.write_bytes(b"\xff" + path.read_bytes())
+        else:
+            path.write_text(path.read_text() + '"' + "x" * 200_000 + '"\n')
+        load = load_dataset if name == "manifest.csv" else load_labels
+        with pytest.raises(DataValidationError, match=f"{name}: unreadable CSV"):
+            load(tmp_path)
+
     def test_missing_label_task_column(self, tmp_path):
         synthesize_to_disk(SMALL, tmp_path)
         with pytest.raises(DataValidationError, match="no_such_task"):

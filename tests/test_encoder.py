@@ -31,7 +31,8 @@ class TestBuildGraph:
     def test_attributes_are_thresholded_rows(self, rng):
         corr = random_connectivity(rng, 6)
         graph = build_graph(corr)
-        assert np.array_equal(graph.attributes, graph.adjacency)
+        assert graph.attributes is graph.adjacency
+        assert not graph.adjacency.flags.writeable
         assert graph.attributes.shape == (6, 6)
 
     def test_self_loops_present(self, rng):
