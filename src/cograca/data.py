@@ -13,6 +13,8 @@ import csv
 import json
 import math
 import os
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,15 +104,28 @@ def write_csv(path: Path, rows, header: list[str] | None = None) -> None:
             writer.writerow(row.tolist() if isinstance(row, np.ndarray) else map(format_field, row))
 
 
+@contextmanager
+def _reading(path: Path):
+    """Turn an OS error while reading `path` into an input error that names
+    it: nothing there to read as a file (missing, a directory, or under a
+    non-directory) is FileNotFoundError, exit 3; any other, such as a
+    denied permission, DataValidationError, exit 4."""
+    try:
+        yield
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        detail = f" ({exc.strerror})" if exc.strerror else ""
+        raise FileNotFoundError(f"missing input file: {path}{detail}") from None
+    except OSError as exc:
+        raise DataValidationError(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     """Read a CSV whose first row is its header. Returns (header, rows) as
     strings; a missing, empty or undecodable file, or a row whose field
     count differs from the header's (a blank row has none) is rejected."""
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"missing input file: {path}")
     try:
-        with open(path, newline="") as fh:
+        with _reading(path), open(path, newline="") as fh:
             rows = list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataValidationError(f"{path}: unreadable CSV: {exc}") from None
@@ -131,9 +146,15 @@ def write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
 
 def read_matrix_csv(path: Path) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        with _reading(path), warnings.catch_warnings():
+            # an input without rows is rejected below, not warned about
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            matrix = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as exc:
         raise DataValidationError(f"{path}: could not parse matrix CSV: {exc}") from None
+    if matrix.size == 0:
+        raise DataValidationError(f"{path}: matrix CSV holds no numbers")
+    return matrix
 
 
 def atomic_write_bytes(path: Path, payload: bytes) -> None:
@@ -428,7 +449,8 @@ def save_model(model, path: Path) -> None:
 def load_model(path: Path):
     """Inverse of save_model; rejects wrong magic, version, truncation, or a
     header that lacks a field or array or holds one of the wrong JSON type."""
-    blob = Path(path).read_bytes()
+    with _reading(path):
+        blob = Path(path).read_bytes()
     if len(blob) < 12 or blob[:4] != _MAGIC:
         raise DataValidationError(f"{path}: not a model file (bad magic)")
     header_len = int.from_bytes(blob[4:12], "little")

@@ -131,12 +131,14 @@ class MlpClassifier:
         return np.argmax(self.logits(x), axis=1)
 
 
-def _elu(x: np.ndarray) -> np.ndarray:
+def _elu(x: np.ndarray, out: np.ndarray | None = None,
+         scratch: np.ndarray | None = None) -> np.ndarray:
     # max(x, 0) + expm1(min(x, 0)): equal bit for bit to the np.where form,
-    # with two temporaries instead of four
-    neg = np.minimum(x, 0.0)
+    # with two temporaries instead of four. out=x works in place, and a
+    # scratch buffer of x's shape removes the last allocation.
+    neg = np.minimum(x, 0.0, out=scratch)
     np.expm1(neg, out=neg)
-    out = np.maximum(x, 0.0)
+    out = np.maximum(x, 0.0, out=out)
     out += neg
     return out
 
@@ -303,8 +305,9 @@ def _as_value_fn(classifier):
     raise TypeError("classifier must be an MlpClassifier or a batch callable")
 
 
-# Rows per value-function call. A 4096-row block keeps the MLP's hidden
-# activations (4096 x 64 doubles, 2 MB) cache-resident.
+# Rows per call of a black-box value function. A 4096-row block keeps an
+# MLP-sized model's hidden activations (4096 x 64 doubles, 2 MB)
+# cache-resident; the MLP itself goes through _mlp_coalition_values.
 _BLOCK_ROWS = 1 << 12
 
 
@@ -316,6 +319,55 @@ def _evaluate_blocks(fn, rows: int, block_inputs) -> np.ndarray:
         sl = slice(start, min(start + _BLOCK_ROWS, rows))
         f[sl] = fn(block_inputs(sl))
     return f
+
+
+# Coalition bits in one block of the MLP path: 2^8 rows of 64 hidden
+# activations are 128 KB, which stays in L2 through both hidden layers
+# (of 6 to 11 bits, 8 was the fastest at d = 16).
+_LATTICE_BITS = 8
+
+
+def _subset_sums(base: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Row m is base plus deltas[i] for every bit i set in m, built by
+    doubling: rows [2^i, 2^(i+1)) are rows [0, 2^i) plus deltas[i]."""
+    table = np.empty((1 << len(deltas),) + base.shape)
+    table[0] = base
+    for i, delta in enumerate(deltas):
+        np.add(table[: 1 << i], delta, out=table[1 << i : 2 << i])
+    return table
+
+
+def _mlp_coalition_values(clf: MlpClassifier, x: np.ndarray, baseline: np.ndarray) -> np.ndarray:
+    """The MLP's log-odds for all 2^d coalitions, in mask order.
+
+    The first layer is affine, so coalition S's pre-activation is
+    (baseline @ w1 + b1) + sum over i in S of (x_i - baseline_i) * w1[i].
+    The low _LATTICE_BITS bits index a table of such sums and the high bits
+    a table of offsets; each block is one broadcast add, then both ELU
+    layers and the head run in preallocated buffers. No coalition input
+    matrix is built and no first-layer GEMM runs.
+    """
+    d = x.shape[0]
+    k = min(d, _LATTICE_BITS)
+    base = baseline @ clf.w1 + clf.b1
+    deltas = (x - baseline)[:, None] * clf.w1
+    low = _subset_sums(base, deltas[:k])
+    high = _subset_sums(np.zeros(clf.w1.shape[1]), deltas[k:])
+    head = clf.w3[:, 1] - clf.w3[:, 0]
+    head_bias = clf.b3[1] - clf.b3[0]
+    h1, s1 = np.empty_like(low), np.empty_like(low)
+    h2 = np.empty((low.shape[0], clf.w2.shape[1]))
+    s2 = np.empty_like(h2)
+    f = np.empty(1 << d).reshape(high.shape[0], low.shape[0])
+    for offset, out in zip(high, f):
+        np.add(low, offset, out=h1)
+        _elu(h1, out=h1, scratch=s1)
+        np.matmul(h1, clf.w2, out=h2)
+        h2 += clf.b2
+        _elu(h2, out=h2, scratch=s2)
+        np.matmul(h2, head, out=out)
+    f += head_bias
+    return f.reshape(-1)
 
 
 @lru_cache(maxsize=2)
@@ -339,9 +391,15 @@ def shapley_attribution(classifier, x: np.ndarray, baseline: np.ndarray) -> Attr
     """Exact Shapley values by enumerating all coalitions.
 
     The value function is the classifier's class-1 log-odds with absent
-    features replaced by the baseline. The 2^d coalitions are evaluated in
-    blocks of 4096 rows, so beyond the 2^d values and the per-d coalition
-    table only one block's inputs and activations are in memory at a time.
+    features replaced by the baseline. For an MlpClassifier the 2^d
+    coalition pre-activations come from a subset-sum lattice over the affine
+    first layer (_mlp_coalition_values), 256 coalitions per block; on a
+    2-core x86-64 host with one OpenBLAS thread a visit takes about 41 ms at
+    d = 16 and 0.70 s at d = 20 (79 ms and 1.43 s through the callable
+    path). Any other batch callable is evaluated on np.where coalition
+    inputs in blocks of 4096 rows. Either way, beyond the 2^d values and
+    the per-d coalition table only one block (and the MLP's two sum tables,
+    2 MB at d = 20) is in memory at a time.
     Feature counts above 20 are refused; use shapley_attribution_mc there.
     """
     fn = _as_value_fn(classifier)
@@ -355,7 +413,10 @@ def shapley_attribution(classifier, x: np.ndarray, baseline: np.ndarray) -> Attr
             f"{d} features means 2^{d} coalitions; use shapley_attribution_mc instead"
         )
     bits, weights = _coalition_tables(d)
-    f = _evaluate_blocks(fn, 1 << d, lambda sl: np.where(bits[sl], x, baseline))
+    if isinstance(classifier, MlpClassifier):
+        f = _mlp_coalition_values(classifier, x, baseline)
+    else:
+        f = _evaluate_blocks(fn, 1 << d, lambda sl: np.where(bits[sl], x, baseline))
     values = np.empty(d)
     for i in range(d):
         # axis 1 splits each run of 2^(i+1) masks into those without bit i

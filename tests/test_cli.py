@@ -1,11 +1,14 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cograca
 from cograca.cli import full_help_text, main, rebuild_argv
 from cograca.data import load_dataset, load_model
 
@@ -185,6 +188,34 @@ class TestFingerprint:
         err = capsys.readouterr().err
         assert err.startswith("cograca: error[4]:")
         assert "fold_1.cgmodel: array w1 has shape" in err
+
+    def test_directory_as_model_file_exit_3(self, workspace, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(workspace / "run", run)
+        (run / "fold_1.cgmodel").unlink()
+        (run / "fold_1.cgmodel").mkdir()
+        assert main(["fingerprint", "--data", str(workspace / "data"),
+                     "--run", str(run), "--out", str(tmp_path / "fp")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cograca: error[3]:")
+        assert f"{run / 'fold_1.cgmodel'} (Is a directory)" in err
+
+    @pytest.mark.parametrize("content", ["", "# comment only\n"], ids=["empty", "comment"])
+    def test_empty_connectivity_csv_one_error_line(self, workspace, tmp_path, content):
+        # a fresh interpreter, so a warning would reach stderr as it does
+        # for a user rather than pytest's warning capture
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        victim = sorted(data.glob("connectivity_*.csv"))[0]
+        victim.write_text(content)
+        env = dict(os.environ, PYTHONPATH=str(Path(cograca.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cograca", "fingerprint", "--data", str(data),
+             "--run", str(workspace / "run"), "--out", str(tmp_path / "fp")],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr == f"cograca: error[4]: {victim}: matrix CSV holds no numbers\n"
 
 
 class TestBaselineCli:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -150,6 +151,12 @@ class TestMlpKernels:
         expect = np.where(grid > 0.0, grid, np.expm1(np.minimum(grid, 0.0)))
         assert _elu(grid).tobytes() == expect.tobytes()
         assert _elu(grid.reshape(-1, 2)).tobytes() == expect.tobytes()
+        buf = grid.reshape(-1, 2).copy()
+        assert _elu(buf, out=buf, scratch=np.empty_like(buf)) is buf
+        assert buf.tobytes() == expect.tobytes()
+        buf = grid.copy()
+        assert _elu(buf, out=buf) is buf
+        assert buf.tobytes() == expect.tobytes()
 
     def test_adam_on_concatenation_equals_per_array_steps(self, rng):
         shapes = [(6, 64), (64,), (64, 32), (32,), (32, 2), (2,)]
@@ -244,15 +251,31 @@ def permutation_loop(fn, x, baseline, n_permutations, seed):
 
 
 class TestShapley:
-    @pytest.mark.parametrize("d", [3, 14])
+    @pytest.mark.parametrize("d", [1, 3, 8, 9, 14, 16])
     def test_blocks_match_one_batch_enumeration(self, d):
-        # d=3 fits in one block; d=14 spans four
+        # the MLP lattice splits at 8 bits: d <= 8 is one block with an
+        # empty high table, d = 9 two blocks, d = 16 256; the callable path
+        # is one 4096-row block up to d = 12 and 16 of them at d = 16
         x_train, y_train = blobs(np.random.default_rng(d), n_per=20, d=d)
         clf = train_mlp(x_train, y_train, seed=d, epochs=30)
         x, baseline = x_train[0], x_train.mean(axis=0)
         expect = enumerate_one_batch(clf.decision_value, x, baseline)
         rep = shapley_attribution(clf, x, baseline)
+        via_callable = shapley_attribution(lambda b: clf.decision_value(b), x, baseline)
         assert np.max(np.abs(rep.values - expect)) <= 1e-12
+        assert np.max(np.abs(rep.values - via_callable.values)) <= 1e-12
+        assert abs(rep.value_x - clf.decision_value(x[None])[0]) <= 1e-12
+        assert abs(rep.value_baseline - clf.decision_value(baseline[None])[0]) <= 1e-12
+
+    def test_zeroed_first_layer_row_gets_exactly_zero(self):
+        x_train, y_train = blobs(np.random.default_rng(5), n_per=20, d=10)
+        clf = train_mlp(x_train, y_train, seed=5, epochs=30)
+        w1 = clf.w1.copy()
+        w1[3] = 0.0
+        dead = dataclasses.replace(clf, w1=w1)
+        rep = shapley_attribution(dead, x_train[0], x_train.mean(axis=0))
+        assert rep.values[3] == 0.0
+        assert np.all(rep.values[np.arange(10) != 3] != 0.0)
 
     def test_row_independent_value_bit_identical_to_one_batch(self, rng):
         def f(batch):
