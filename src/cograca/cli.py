@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .baselines import BASELINE_KINDS, baseline_pipeline, out_of_fold_matrix
 from .data import (
     DataValidationError,
     SyntheticConfig,
+    _reading,
     atomic_write_bytes,
     format_field,
     load_dataset,
@@ -110,11 +112,27 @@ def _run_config(args) -> dict:
     return config
 
 
-def _load_run_record(run_dir: Path) -> dict:
-    path = Path(run_dir) / "run.json"
-    if not path.is_file():
-        raise FileNotFoundError(f"missing run record: {path}")
-    return json.loads(path.read_text())
+def _training_split(args) -> tuple[list, list[np.ndarray], int]:
+    """The visits at --data, the subject folds of the train run at --run
+    rebuilt from its run.json, and that run's seed. Only a JSON object
+    written by `train`, whose config holds integer folds and seed, is
+    accepted."""
+    path = Path(args.run) / "run.json"
+    with _reading(path):
+        blob = path.read_bytes()
+    try:
+        record = json.loads(blob)
+    except ValueError:  # not text or not JSON
+        record = None
+    if not isinstance(record, dict) or record.get("command") != "train":
+        raise DataValidationError(f"{path}: not the run record of a train run")
+    config = record.get("config")
+    if not isinstance(config, dict) or any(type(config.get(k)) is not int
+                                           for k in ("folds", "seed")):
+        raise DataValidationError(f"{path}: train config needs integer folds and seed")
+    records = load_dataset(Path(args.data))
+    folds = make_subject_folds([r.subject_id for r in records], config["folds"], config["seed"])
+    return records, folds, config["seed"]
 
 
 def rebuild_argv(record: dict, out: str) -> list[str]:
@@ -361,20 +379,16 @@ def full_help_text() -> str:
     return "".join(parts)
 
 
+def _from_flags(config_type, args, **parsed):
+    """A config dataclass from the parsed flags named as its fields, with
+    `parsed` in place of flags that need more than argparse's parse; a field
+    without a flag keeps its default."""
+    flags = {**vars(args), **parsed}
+    return config_type(**{f.name: flags[f.name] for f in fields(config_type) if f.name in flags})
+
+
 def _cmd_synth(args, out: Path) -> dict:
-    cfg = SyntheticConfig(
-        subjects=args.subjects,
-        two_visit_fraction=args.two_visit_fraction,
-        rois=args.rois,
-        d_cog=args.d_cog,
-        latent_dim=args.latent_dim,
-        signal=args.signal,
-        coupling=args.coupling,
-        noise=args.noise,
-        planted_strength=args.planted_strength,
-        seed=args.seed,
-    )
-    records, _ = synthesize_to_disk(cfg, out)
+    records, _ = synthesize_to_disk(_from_flags(SyntheticConfig, args), out)
     outputs = ["manifest.csv", "labels.csv", "latents.csv"] + [
         f"connectivity_{r.subject_id}_v{r.visit}.csv" for r in records
     ]
@@ -383,28 +397,13 @@ def _cmd_synth(args, out: Path) -> dict:
 
 
 def _train_config(args) -> TrainConfig:
-    if args.ridge == "scaled":
-        ridge = None
-    else:
-        try:
-            ridge = float(args.ridge)
-        except ValueError:
-            raise DataValidationError(
-                f"--ridge must be 'scaled' or a float, got {args.ridge!r}"
-            ) from None
-    return TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        hidden_dim=args.hidden_dim,
-        r=args.r,
-        d_r=args.d_r,
-        temperature=args.temperature,
-        lambda1=args.lambda1,
-        lambda2=args.lambda2,
-        ridge=ridge,
-        seed=args.seed,
-        folds=args.folds,
-    )
+    try:
+        ridge = None if args.ridge == "scaled" else float(args.ridge)
+    except ValueError:
+        raise DataValidationError(
+            f"--ridge must be 'scaled' or a float, got {args.ridge!r}"
+        ) from None
+    return _from_flags(TrainConfig, args, ridge=ridge)
 
 
 def _cmd_train(args, out: Path) -> dict:
@@ -427,12 +426,7 @@ def _cmd_train(args, out: Path) -> dict:
 
 
 def _cmd_fingerprint(args, out: Path) -> dict:
-    run_record = _load_run_record(Path(args.run))
-    train_cfg = run_record["config"]
-    records = load_dataset(Path(args.data))
-    folds = make_subject_folds(
-        [r.subject_id for r in records], int(train_cfg["folds"]), int(train_cfg["seed"])
-    )
+    records, folds, seed = _training_split(args)
     models = [
         load_model(Path(args.run) / f"fold_{k}.cgmodel") for k in range(len(folds))
     ]
@@ -446,7 +440,7 @@ def _cmd_fingerprint(args, out: Path) -> dict:
         values,
     )
     print(f"wrote fingerprints for {len(records)} visits to {out / 'fingerprints.csv'}")
-    return {"outputs": ["fingerprints.csv"], "seed": run_record.get("seed")}
+    return {"outputs": ["fingerprints.csv"], "seed": seed}
 
 
 def _cmd_baseline(args, out: Path) -> dict:
@@ -576,12 +570,7 @@ def _cmd_evaluate_interpret(args, out: Path) -> dict:
         raise DataValidationError(
             f"--components must be comma-separated integers, got {args.components!r}"
         ) from None
-    run_record = _load_run_record(Path(args.run))
-    train_cfg = run_record["config"]
-    records = load_dataset(Path(args.data))
-    folds = make_subject_folds(
-        [r.subject_id for r in records], int(train_cfg["folds"]), int(train_cfg["seed"])
-    )
+    records, folds, _ = _training_split(args)
     if not 0 <= args.fold < len(folds):
         raise DataValidationError(f"--fold must lie in [0, {len(folds)})")
     model = load_model(Path(args.run) / f"fold_{args.fold}.cgmodel")

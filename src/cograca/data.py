@@ -13,9 +13,11 @@ import csv
 import json
 import math
 import os
+import typing
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from functools import cache
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,24 +42,25 @@ __all__ = [
 
 _MAGIC = b"CGM1"
 _FORMAT_VERSION = 1
-# The dims of each stored array: a name binds to its first size and must
-# match it everywhere else, "2*h" is twice h's size, None is free, and n is
-# the number of training visits.
-_MODEL_DIMS = {
-    "w1": ("d_in", "h"),
-    "m1": ("2*h",),
-    "w2": ("h", "r"),
-    "m2": ("2*r",),
-    "r": ("d_r", "n"),
-    "u_brain": ("r", "d_r"),
-    "u_cog": ("d_cog", "d_r"),
-    "eigenvalues": (None,),
-    "ridge_used": (2,),
-    "brain_mean": ("r",),
-    "brain_std": ("r",),
-    "cog_mean": ("d_cog",),
-    "cog_std": ("d_cog",),
-    "loss_trace": ("epochs", 4),
+# Every stored array, in file order: the part of a TrainedModel that holds it
+# (None for the model itself), its attribute there, and its dims. A dim name
+# binds to its first size and must match it everywhere else, "2*h" is twice
+# h's size, None is free, and n is the number of training visits.
+_MODEL_ARRAYS = {
+    "w1": ("params", "w1", ("d_in", "h")),
+    "m1": ("params", "m1", ("2*h",)),
+    "w2": ("params", "w2", ("h", "r")),
+    "m2": ("params", "m2", ("2*r",)),
+    "r": ("solution", "r", ("d_r", "n")),
+    "u_brain": ("solution", "u_brain", ("r", "d_r")),
+    "u_cog": ("solution", "u_cog", ("d_cog", "d_r")),
+    "eigenvalues": ("solution", "eigenvalues", (None,)),
+    "ridge_used": ("solution", "ridge", (2,)),
+    "brain_mean": ("stats", "brain_mean", ("r",)),
+    "brain_std": ("stats", "brain_std", ("r",)),
+    "cog_mean": ("stats", "cog_mean", ("d_cog",)),
+    "cog_std": ("stats", "cog_std", ("d_cog",)),
+    "loss_trace": (None, "loss_trace", ("epochs", 4)),
 }
 
 
@@ -403,40 +406,15 @@ def _le64(arr: np.ndarray) -> np.ndarray:
 
 def save_model(model, path: Path) -> None:
     """Serialize a TrainedModel: magic, JSON header with shapes and config,
-    then the raw little-endian float64 arrays in header order."""
-    cfg = model.config
-    arrays: list[tuple[str, np.ndarray]] = [
-        ("w1", model.params.w1),
-        ("m1", model.params.m1),
-        ("w2", model.params.w2),
-        ("m2", model.params.m2),
-        ("r", model.solution.r),
-        ("u_brain", model.solution.u_brain),
-        ("u_cog", model.solution.u_cog),
-        ("eigenvalues", model.solution.eigenvalues),
-        ("ridge_used", np.array(model.solution.ridge)),
-        ("brain_mean", model.stats.brain_mean),
-        ("brain_std", model.stats.brain_std),
-        ("cog_mean", model.stats.cog_mean),
-        ("cog_std", model.stats.cog_std),
-        ("loss_trace", model.loss_trace),
+    then the raw little-endian float64 arrays in _MODEL_ARRAYS order."""
+    arrays = [
+        (name, np.asarray(getattr(model if part is None else getattr(model, part), attr)))
+        for name, (part, attr, _) in _MODEL_ARRAYS.items()
     ]
     header = {
         "version": _FORMAT_VERSION,
-        "model_kind": cfg.model_kind,
-        "config": {
-            "epochs": cfg.epochs,
-            "learning_rate": cfg.learning_rate,
-            "hidden_dim": cfg.hidden_dim,
-            "r": cfg.r,
-            "d_r": cfg.d_r,
-            "temperature": cfg.temperature,
-            "lambda1": cfg.lambda1,
-            "lambda2": cfg.lambda2,
-            "ridge": cfg.ridge,
-            "seed": cfg.seed,
-            "folds": cfg.folds,
-        },
+        "model_kind": model.config.model_kind,
+        "config": asdict(model.config),
         "train_keys": [[s, v] for s, v in model.train_keys],
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
@@ -488,9 +466,9 @@ def _dims_match(dims: tuple, shape: tuple, bound: dict[str, int]) -> bool:
 
 def _check_model_dims(path: Path, values: dict[str, np.ndarray], n_visits: int) -> None:
     """Raise DataValidationError naming the first array whose rank or shared
-    dims disagree with `_MODEL_DIMS`."""
+    dims disagree with `_MODEL_ARRAYS`."""
     bound = {"n": n_visits}
-    for name, dims in _MODEL_DIMS.items():
+    for name, (_, _, dims) in _MODEL_ARRAYS.items():
         shape = values[name].shape
         if not _dims_match(dims, shape, bound):
             expected = ", ".join("any" if d is None else str(d) for d in dims)
@@ -501,10 +479,20 @@ def _check_model_dims(path: Path, values: dict[str, np.ndarray], n_visits: int) 
             )
 
 
+@cache
+def _field_types(cls) -> dict:
+    """Each field of dataclass `cls` mapped to its annotated type."""
+    return typing.get_type_hints(cls)
+
+
+def _coerce(kind, value):
+    """`value` as type `kind`; an optional kind (X | None) keeps None."""
+    options = typing.get_args(kind) or (kind,)
+    return None if value is None and type(None) in options else options[0](value)
+
+
 def _decode_model(path: Path, header: dict, blob: bytes, offset: int):
-    from .pipeline import TrainConfig, TrainedModel  # deferred to avoid an import cycle
-    from .encoder import EncoderParams
-    from .gcca import GccaSolution, PreprocessStats
+    from .pipeline import TrainedModel  # deferred to avoid an import cycle
 
     specs = header["arrays"]
     if not isinstance(specs, list):
@@ -532,46 +520,27 @@ def _decode_model(path: Path, header: dict, blob: bytes, offset: int):
         offset += nbytes
     if offset != len(blob):
         raise DataValidationError(f"{path}: trailing bytes after model payload")
+    # the model's parts are rebuilt as the types its fields are annotated with
+    types = _field_types(TrainedModel)
+    config_type = types["config"]
+    config_hints = _field_types(config_type)
     c = header["config"]
     try:
-        config = TrainConfig(
-            epochs=int(c["epochs"]),
-            learning_rate=float(c["learning_rate"]),
-            hidden_dim=int(c["hidden_dim"]),
-            r=int(c["r"]),
-            d_r=int(c["d_r"]),
-            temperature=float(c["temperature"]),
-            lambda1=float(c["lambda1"]),
-            lambda2=float(c["lambda2"]),
-            ridge=None if c["ridge"] is None else float(c["ridge"]),
-            seed=int(c["seed"]),
-            folds=int(c["folds"]),
-        )
+        config = config_type(**{
+            f.name: _coerce(config_hints[f.name], c[f.name]) for f in fields(config_type)
+        })
         train_keys = tuple((s, int(v)) for s, v in header["train_keys"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataValidationError(f"{path}: malformed model header: {exc}") from None
     _check_model_dims(path, values, len(train_keys))
-    params = EncoderParams(
-        w1=values["w1"], m1=values["m1"], w2=values["w2"], m2=values["m2"]
-    )
-    solution = GccaSolution(
-        r=values["r"],
-        u_brain=values["u_brain"],
-        u_cog=values["u_cog"],
-        eigenvalues=values["eigenvalues"],
-        ridge=(float(values["ridge_used"][0]), float(values["ridge_used"][1])),
-    )
-    stats = PreprocessStats(
-        brain_mean=values["brain_mean"],
-        brain_std=values["brain_std"],
-        cog_mean=values["cog_mean"],
-        cog_std=values["cog_std"],
-    )
+    parts: dict[str | None, dict[str, np.ndarray]] = {}
+    for name, (part, attr, _) in _MODEL_ARRAYS.items():
+        parts.setdefault(part, {})[attr] = values[name]
+    # the one stored attribute that is a tuple of floats, not an array
+    parts["solution"]["ridge"] = tuple(parts["solution"]["ridge"].tolist())
     return TrainedModel(
-        params=params,
-        solution=solution,
-        stats=stats,
         config=config,
-        loss_trace=values["loss_trace"],
         train_keys=train_keys,
+        **parts.pop(None),
+        **{part: types[part](**attrs) for part, attrs in parts.items()},
     )

@@ -179,6 +179,8 @@ def train_mlp(
     Dropout masks and initialization come from the seed, so a (data, seed)
     pair always yields the same classifier.
     """
+    if epochs < 1:
+        raise ValueError(f"MLP epochs must be at least 1, got {epochs}")
     x = np.asarray(representations, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
@@ -264,6 +266,8 @@ def cross_validated_bacc(
     and the pooled held-out predictions are scored once. Returns the
     per-repeat balanced accuracies.
     """
+    if repeats < 1:
+        raise ValueError(f"MLP repeats must be at least 1, got {repeats}")
     representations = np.asarray(representations, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = representations.shape[0]
@@ -330,7 +334,7 @@ _LATTICE_BITS = 8
 def _subset_sums(base: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Row m is base plus deltas[i] for every bit i set in m, built by
     doubling: rows [2^i, 2^(i+1)) are rows [0, 2^i) plus deltas[i]."""
-    table = np.empty((1 << len(deltas),) + base.shape)
+    table = np.empty((1 << len(deltas),) + base.shape, dtype=base.dtype)
     table[0] = base
     for i, delta in enumerate(deltas):
         np.add(table[: 1 << i], delta, out=table[1 << i : 2 << i])
@@ -371,20 +375,24 @@ def _mlp_coalition_values(clf: MlpClassifier, x: np.ndarray, baseline: np.ndarra
 
 
 @lru_cache(maxsize=2)
-def _coalition_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 2^d x d membership table (row m holds the bits of mask m) and
-    each mask's Shapley weight |S|!(d-1-|S|)!/d!; the full mask, which never
-    excludes a feature, gets weight 0. Built on first use for each d."""
-    bits = (np.arange(1 << d, dtype=np.int64)[:, None] >> np.arange(d)) & 1
+def _coalition_weights(d: int) -> np.ndarray:
+    """Each mask's Shapley weight |S|!(d-1-|S|)!/d!; the full mask, which
+    never excludes a feature, gets weight 0. The coalition sizes |S| come
+    from the same doubling as _subset_sums. Built on first use for each d."""
     by_size = np.array(
         [math.factorial(k) * math.factorial(d - 1 - k) / math.factorial(d) for k in range(d)]
         + [0.0]
     )
-    weights = by_size[bits.sum(axis=1)]
-    bits = bits.astype(bool)
-    bits.setflags(write=False)
+    weights = by_size[_subset_sums(np.zeros((), np.uint8), np.ones(d, np.uint8))]
     weights.setflags(write=False)
-    return bits, weights
+    return weights
+
+
+def _coalition_inputs(x: np.ndarray, baseline: np.ndarray, sl: slice) -> np.ndarray:
+    """Rows `sl` of the coalition inputs: row m takes x where bit i of m
+    is set and the baseline elsewhere."""
+    bits = (np.arange(sl.start, sl.stop)[:, None] >> np.arange(x.shape[0])) & 1
+    return np.where(bits, x, baseline)
 
 
 def shapley_attribution(classifier, x: np.ndarray, baseline: np.ndarray) -> AttributionReport:
@@ -398,8 +406,8 @@ def shapley_attribution(classifier, x: np.ndarray, baseline: np.ndarray) -> Attr
     d = 16 and 0.70 s at d = 20 (79 ms and 1.43 s through the callable
     path). Any other batch callable is evaluated on np.where coalition
     inputs in blocks of 4096 rows. Either way, beyond the 2^d values and
-    the per-d coalition table only one block (and the MLP's two sum tables,
-    2 MB at d = 20) is in memory at a time.
+    the per-d weights only one block (and the MLP's two sum tables, 2 MB at
+    d = 20) is in memory at a time.
     Feature counts above 20 are refused; use shapley_attribution_mc there.
     """
     fn = _as_value_fn(classifier)
@@ -412,11 +420,11 @@ def shapley_attribution(classifier, x: np.ndarray, baseline: np.ndarray) -> Attr
         raise ValueError(
             f"{d} features means 2^{d} coalitions; use shapley_attribution_mc instead"
         )
-    bits, weights = _coalition_tables(d)
+    weights = _coalition_weights(d)
     if isinstance(classifier, MlpClassifier):
         f = _mlp_coalition_values(classifier, x, baseline)
     else:
-        f = _evaluate_blocks(fn, 1 << d, lambda sl: np.where(bits[sl], x, baseline))
+        f = _evaluate_blocks(fn, 1 << d, lambda sl: _coalition_inputs(x, baseline, sl))
     values = np.empty(d)
     for i in range(d):
         # axis 1 splits each run of 2^(i+1) masks into those without bit i

@@ -62,10 +62,7 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
         if min(self.hidden_dim, self.r, self.d_r) < 1:
             raise ValueError("dimensions must be positive")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
-        if self.lambda1 < 0.0 or self.lambda2 < 0.0:
-            raise ValueError("loss weights must be nonnegative")
+        self.contrastive()  # checks the temperature and the loss weights
         if self.ridge is not None and self.ridge <= 0.0:
             raise ValueError("ridge must be positive when given")
         if self.seed < 0:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -10,7 +11,9 @@ import pytest
 
 import cograca
 from cograca.cli import full_help_text, main, rebuild_argv
-from cograca.data import load_dataset, load_model
+from cograca.data import SyntheticConfig, generate_synthetic, load_dataset, load_model
+from cograca.numerics import _derive_seed
+from cograca.pipeline import TrainConfig
 
 from conftest import rewrite_model_header, with_array_shape
 
@@ -102,6 +105,30 @@ class TestSynth:
         assert "\n" not in err.strip()
 
 
+    def test_every_flag_reaches_the_config(self, tmp_path):
+        # every SyntheticConfig field with a flag (label_latent has none)
+        values = dict(subjects=6, two_visit_fraction=0.34, rois=9, d_cog=5, latent_dim=4,
+                      signal=1.3, coupling=0.7, noise=0.4, planted_strength=0.6, seed=11)
+        defaults = SyntheticConfig()
+        assert set(values) == {f.name for f in dataclasses.fields(SyntheticConfig)} - {
+            "label_latent"}
+        assert all(v != getattr(defaults, k) for k, v in values.items())
+        argv = ["synth", "--out", str(tmp_path)]
+        for key, value in values.items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        assert main(argv) == 0
+        expected, truth = generate_synthetic(SyntheticConfig(**values))
+        loaded = load_dataset(tmp_path)
+        assert [(r.subject_id, r.visit) for r in loaded] == [
+            (r.subject_id, r.visit) for r in expected]
+        for got, want in zip(loaded, expected):
+            assert got.graph.adjacency.tobytes() == want.graph.adjacency.tobytes()
+            assert got.cognition.tobytes() == want.cognition.tobytes()
+        latents = (tmp_path / "latents.csv").read_text().splitlines()[1:]
+        assert [[float(v) for v in line.split(",")[1:]] for line in latents] == (
+            truth.latents.tolist())
+
+
 class TestTrain:
     def test_artifacts_exist(self, workspace):
         run = workspace / "run"
@@ -141,6 +168,22 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("cograca: error[5]:")
         assert "epoch" in err
+
+    def test_every_flag_reaches_the_model_config(self, workspace, tmp_path):
+        # r must equal the dataset's d_cog (6) while the multimodal term is on
+        values = dict(epochs=3, learning_rate=0.002, hidden_dim=7, r=6, d_r=3,
+                      temperature=0.8, lambda1=1.2, lambda2=0.4, ridge=0.05, seed=2, folds=2)
+        defaults = TrainConfig()
+        assert set(values) == {f.name for f in dataclasses.fields(TrainConfig)}
+        assert all(v != getattr(defaults, k) for k, v in values.items())
+        argv = ["train", "--data", str(workspace / "data"), "--out", str(tmp_path)]
+        for key, value in values.items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        assert main(argv) == 0
+        for fold in range(2):
+            # each fold trains with its own seed derived from --seed
+            expected = TrainConfig(**{**values, "seed": _derive_seed(2, fold)})
+            assert load_model(tmp_path / f"fold_{fold}.cgmodel").config == expected
 
     def test_ablation_recorded_as_graca(self, workspace, tmp_path):
         out = tmp_path / "ablate"
@@ -188,6 +231,44 @@ class TestFingerprint:
         err = capsys.readouterr().err
         assert err.startswith("cograca: error[4]:")
         assert "fold_1.cgmodel: array w1 has shape" in err
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
+    def test_missing_config_field_exit_4(self, workspace, tmp_path, capsys, field):
+        run = tmp_path / "run"
+        shutil.copytree(workspace / "run", run)
+
+        def drop(header):
+            del header["config"][field]
+            return header
+
+        rewrite_model_header(run / "fold_0.cgmodel", drop)
+        assert main(["fingerprint", "--data", str(workspace / "data"),
+                     "--run", str(run), "--out", str(tmp_path / "fp")]) == 4
+        assert capsys.readouterr().err == (
+            f"cograca: error[4]: {run / 'fold_0.cgmodel'}: model header is missing "
+            f"'{field}'\n")
+
+    @pytest.mark.parametrize("command", ["fingerprint", "interpret"])
+    @pytest.mark.parametrize("record", ["synth", "not-object", "no-folds"])
+    def test_run_record_not_from_train_exit_4(self, workspace, tmp_path, capsys,
+                                              command, record):
+        # each of these once exited 1 (KeyError or TypeError)
+        if record == "synth":
+            run = workspace / "data"
+        else:
+            run = tmp_path / "run"
+            shutil.copytree(workspace / "run", run)
+            content = json.loads((run / "run.json").read_text())
+            if record == "not-object":
+                content = [1, 2]
+            else:
+                del content["config"]["folds"]
+            (run / "run.json").write_text(json.dumps(content))
+        prefix = ["fingerprint"] if command == "fingerprint" else ["evaluate", "interpret"]
+        assert main(prefix + ["--data", str(workspace / "data"), "--run", str(run),
+                              "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"cograca: error[4]: {run / 'run.json'}: ")
 
     def test_directory_as_model_file_exit_3(self, workspace, tmp_path, capsys):
         run = tmp_path / "run"
@@ -270,6 +351,26 @@ class TestEvaluateCli:
         assert len(metrics["bacc_per_seed"]) == 2
         assert 0.0 <= metrics["bacc_mean"] <= 1.0
         assert metrics["task"] == "attribute"
+
+    @pytest.mark.parametrize("analysis,flag,value", [
+        ("classify", "--repeats", "0"),
+        ("classify", "--repeats", "-2"),
+        ("classify", "--epochs", "0"),
+        ("classify", "--epochs", "-3"),
+        ("attribute", "--epochs", "0"),
+        ("attribute", "--epochs", "-3"),
+    ])
+    def test_mlp_counts_below_one_exit_4(self, workspace, tmp_path, capsys,
+                                         analysis, flag, value):
+        # --repeats 0 and --epochs 0 once exited 0 with a NaN or an untrained
+        # MLP; --repeats -2 exited 4 with a numpy message
+        out = tmp_path / "o"
+        assert main(["evaluate", analysis,
+                     "--representations", str(workspace / "fp" / "fingerprints.csv"),
+                     "--data", str(workspace / "data"), flag, value, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == f"cograca: error[4]: MLP {flag[2:]} must be at least 1, got {value}\n"
+        assert not (out / "metrics.json").exists()
 
     def test_classify_unknown_task_exit_4(self, workspace, tmp_path):
         assert main(["evaluate", "classify",

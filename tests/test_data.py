@@ -264,6 +264,9 @@ _WRONG_TYPES = {
     "shape-nested": _with_first_array(shape=[[3, 4]]),
     "config-not-object": lambda header: {**header, "config": [1, 2]},
     "train-keys-not-pairs": lambda header: {**header, "train_keys": 5},
+    # once exited 1 with OverflowError
+    "config-value-infinite": lambda header: {
+        **header, "config": {**header["config"], "epochs": float("inf")}},
 }
 
 # the same payload under a shape of the wrong rank or with dims that disagree

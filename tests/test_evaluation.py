@@ -7,7 +7,7 @@ import pytest
 
 from cograca.data import SyntheticConfig, generate_synthetic
 from cograca.evaluation import (
-    _coalition_tables,
+    _coalition_weights,
     _elu,
     balanced_accuracy,
     cross_validated_bacc,
@@ -288,11 +288,19 @@ class TestShapley:
     def test_cold_and_warm_tables_give_identical_bytes(self):
         x_train, y_train = blobs(np.random.default_rng(0), n_per=15, d=9)
         clf = train_mlp(x_train, y_train, seed=0, epochs=10)
-        _coalition_tables.cache_clear()
+        _coalition_weights.cache_clear()
         cold = shapley_attribution(clf, x_train[1], x_train.mean(axis=0))
         warm = shapley_attribution(clf, x_train[1], x_train.mean(axis=0))
-        assert _coalition_tables.cache_info().hits >= 1
+        assert _coalition_weights.cache_info().hits >= 1
         assert cold.values.tobytes() == warm.values.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 8, 20])
+    def test_weights_match_factorial_formula(self, d):
+        # |S|!(d-1-|S|)!/d! by each mask's bit count, 0 for the full mask
+        by_size = [math.factorial(k) * math.factorial(d - 1 - k) / math.factorial(d)
+                   for k in range(d)] + [0.0]
+        expected = np.array([by_size[bin(m).count("1")] for m in range(1 << d)])
+        assert _coalition_weights(d).tobytes() == expected.tobytes()
 
     def test_mc_matches_permutation_loop_bitwise(self, rng):
         def f(batch):

@@ -250,7 +250,8 @@ class TestFuzzReaders:
     @given(st.data())
     def test_model_header_values(self, dataset, data):
         wrong = st.sampled_from(
-            [None, True, 0, -1, 2.5, 2**63, 2**70, "", "w1", [], [3], [[1]], {}, {"a": 1}]
+            [None, True, 0, -1, 2.5, 2**63, 2**70, float("inf"), float("nan"), "", "w1", [],
+             [3], [[1]], {}, {"a": 1}]
         )
 
         def damage(header):
