@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import VisitRecord
 from .numerics import _derive_seed, _lead_signs, gram_svd, sym_eig
+from .pipeline import FoldSplit, fold_splits, out_of_fold
 
 __all__ = [
     "LinearReducer",
@@ -262,22 +263,11 @@ def vectorize_connectivity(matrix: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FoldRepresentations:
-    """One fold's output: representations for its training and test visits,
-    from models fit on the training visits only."""
+class FoldRepresentations(FoldSplit):
+    """One fold's split and the representations of its test visits, from
+    models fit on the training visits only."""
 
-    fold: int
-    train_indices: np.ndarray
-    test_indices: np.ndarray
-    train_representations: np.ndarray
     test_representations: np.ndarray
-
-
-def _zscore_train(train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
-    return mean, std
 
 
 def baseline_pipeline(
@@ -288,84 +278,49 @@ def baseline_pipeline(
     variance_threshold: float = 0.95,
     seed: int = 0,
 ) -> list[FoldRepresentations]:
-    """Fit one baseline per fold on the training visits and represent both
-    splits. fMRI features are the vectorized thresholded connectivity.
-    FastICA folds that stop at the iteration limit are reported in one
-    warning with their count."""
+    """Fit one baseline per fold on the training visits and represent the
+    fold's test visits. The folds may be any list of test folds (one
+    held-out fold is enough); they need not partition the visits. fMRI
+    features are the vectorized thresholded connectivity. FastICA folds that
+    stop at the iteration limit are reported in one warning with their
+    count."""
     if kind not in BASELINE_KINDS:
         raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {kind!r}")
     feats = np.stack([vectorize_connectivity(r.graph.adjacency) for r in records])
     cogs = np.stack([r.cognition for r in records])
-    n = len(records)
-    all_idx = np.arange(n)
-    splits = []
-    for fold_idx, test in enumerate(folds):
-        train = np.setdiff1d(all_idx, test)
-        splits.append((fold_idx, train, test))
-
-    def fit_reducer(fold_idx: int, train: np.ndarray) -> LinearReducer:
-        if kind == "ica-cca" or kind == "fmri-only-ica":
-            return ica_fit(feats[train], n_components, seed=_derive_seed(seed, fold_idx))
-        return pca_fit(feats[train], variance_threshold)
-
-    results: list[FoldRepresentations] = []
-    if kind == "cognition-only":
-        for fold_idx, train, test in splits:
-            mean, std = _zscore_train(cogs[train])
-            results.append(
-                FoldRepresentations(
-                    fold=fold_idx,
-                    train_indices=train,
-                    test_indices=test,
-                    train_representations=(cogs[train] - mean) / std,
-                    test_representations=(cogs[test] - mean) / std,
-                )
+    splits = fold_splits(folds, len(records))
+    reducers: list[LinearReducer | None] = [None] * len(splits)
+    if kind != "cognition-only":
+        # one non-convergence warning for the whole call, not one per fold
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="FastICA did not converge")
+            reducers = [
+                pca_fit(feats[s.train_indices], variance_threshold) if kind == "pca-cca"
+                else ica_fit(feats[s.train_indices], n_components,
+                             seed=_derive_seed(seed, s.fold))
+                for s in splits
+            ]
+        stalled = sum(not red.converged for red in reducers)
+        if stalled:
+            warnings.warn(
+                f"FastICA did not converge in {stalled} of {len(splits)} folds; "
+                "those folds keep the last iterate"
             )
-        return results
-    # one non-convergence warning for the whole call, not one per fold
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="FastICA did not converge")
-        reducers = {fold_idx: fit_reducer(fold_idx, train) for fold_idx, train, _ in splits}
-    stalled = sum(not red.converged for red in reducers.values())
-    if stalled:
-        warnings.warn(
-            f"FastICA did not converge in {stalled} of {len(splits)} folds; "
-            "those folds keep the last iterate"
-        )
-    if kind == "fmri-only-ica":
-        for fold_idx, train, test in splits:
-            red = reducers[fold_idx]
-            results.append(
-                FoldRepresentations(
-                    fold=fold_idx,
-                    train_indices=train,
-                    test_indices=test,
-                    train_representations=red.transform(feats[train]),
-                    test_representations=red.transform(feats[test]),
-                )
-            )
-        return results
-    # composed *-cca kinds: keep a representation width all folds can produce
-    d_cog = cogs.shape[1]
-    n_pairs = min(
-        d_cog, min(reducers[f].components.shape[0] for f, _, _ in splits)
-    )
-    for fold_idx, train, test in splits:
-        red = reducers[fold_idx]
-        reduced_train = red.transform(feats[train])
-        reduced_test = red.transform(feats[test])
-        cca = classical_cca(reduced_train, cogs[train], n_pairs=n_pairs)
-        tr_x, tr_y = cca.transform(reduced_train, cogs[train])
-        te_x, te_y = cca.transform(reduced_test, cogs[test])
-        results.append(
-            FoldRepresentations(
-                fold=fold_idx,
-                train_indices=train,
-                test_indices=test,
-                train_representations=(tr_x + tr_y) / 2.0,
-                test_representations=(te_x + te_y) / 2.0,
-            )
-        )
+        # composed *-cca kinds: keep a representation width all folds can produce
+        n_pairs = min(cogs.shape[1], min(red.components.shape[0] for red in reducers))
+    results = []
+    for split, red in zip(splits, reducers):
+        train, test = split.train_indices, split.test_indices
+        if red is None:  # cognition-only: z-scored with the training visits' stats
+            std = cogs[train].std(axis=0)
+            reps = (cogs[test] - cogs[train].mean(axis=0)) / np.where(std < 1e-12, 1.0, std)
+        elif kind == "fmri-only-ica":
+            reps = red.transform(feats[test])
+        else:
+            cca = classical_cca(red.transform(feats[train]), cogs[train], n_pairs=n_pairs)
+            x, y = cca.transform(red.transform(feats[test]), cogs[test])
+            reps = (x + y) / 2.0
+        results.append(FoldRepresentations(split.fold, train, test, reps))
     return results
 
 
@@ -373,13 +328,6 @@ def out_of_fold_matrix(
     results: list[FoldRepresentations], n_visits: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assemble each visit's held-out representation. Returns (matrix, fold
-    id per visit)."""
-    dim = results[0].test_representations.shape[1]
-    reps = np.zeros((n_visits, dim))
-    fold_of = np.full(n_visits, -1, dtype=np.int64)
-    for res in results:
-        reps[res.test_indices] = res.test_representations
-        fold_of[res.test_indices] = res.fold
-    if (fold_of < 0).any():
-        raise ValueError("folds do not cover every visit")
-    return reps, fold_of
+    id per visit). The results' folds must partition the visits (see
+    out_of_fold)."""
+    return out_of_fold(results, [r.test_representations for r in results], n_visits)

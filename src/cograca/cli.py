@@ -44,9 +44,11 @@ from .evaluation import (
     train_mlp,
 )
 from .pipeline import (
+    FoldSplit,
     NonFiniteLossError,
     TrainConfig,
     cross_validate,
+    fold_splits,
     make_subject_folds,
     out_of_fold_fingerprints,
 )
@@ -112,18 +114,23 @@ def _run_config(args) -> dict:
     return config
 
 
+def _read_json(path: Path):
+    """The JSON value in the file at `path`; an error names the file."""
+    with _reading(path):
+        blob = path.read_bytes()
+    try:
+        return json.loads(blob)
+    except (ValueError, RecursionError) as exc:  # not text, not JSON, or nested too deep
+        raise DataValidationError(f"{path}: not a JSON file: {exc}") from None
+
+
 def _training_split(args) -> tuple[list, list[np.ndarray], int]:
     """The visits at --data, the subject folds of the train run at --run
     rebuilt from its run.json, and that run's seed. Only a JSON object
     written by `train`, whose config holds integer folds and seed, is
     accepted."""
     path = Path(args.run) / "run.json"
-    with _reading(path):
-        blob = path.read_bytes()
-    try:
-        record = json.loads(blob)
-    except ValueError:  # not text or not JSON
-        record = None
+    record = _read_json(path)
     if not isinstance(record, dict) or record.get("command") != "train":
         raise DataValidationError(f"{path}: not the run record of a train run")
     config = record.get("config")
@@ -505,15 +512,17 @@ def _join_labels(keys, data_dir: Path, task: str) -> np.ndarray:
     return np.array([labels[k] for k in keys], dtype=np.int64)
 
 
-def _folds_from_column(fold_of: np.ndarray) -> list[np.ndarray]:
-    return [np.flatnonzero(fold_of == f) for f in np.unique(fold_of)]
+def _folds_from_column(fold_of: np.ndarray) -> list[FoldSplit]:
+    """The folds of a representation CSV's fold column, in ascending id."""
+    ids = np.unique(fold_of)
+    return fold_splits([np.flatnonzero(fold_of == f) for f in ids], len(fold_of), fold_ids=ids)
 
 
 def _cmd_evaluate_classify(args, out: Path) -> dict:
     keys, fold_of, values = _read_representations(Path(args.representations))
     y = _join_labels(keys, Path(args.data), args.task)
     baccs = cross_validated_bacc(
-        values, y, _folds_from_column(fold_of),
+        values, y, [s.test_indices for s in _folds_from_column(fold_of)],
         seed=args.seed, repeats=args.repeats, epochs=args.epochs,
     )
     metrics = {
@@ -533,16 +542,15 @@ def _cmd_evaluate_attribute(args, out: Path) -> dict:
     keys, fold_of, values = _read_representations(Path(args.representations))
     y = _join_labels(keys, Path(args.data), args.task)
     d = values.shape[1]
-    all_idx = np.arange(values.shape[0])
     rows = []
     abs_sum = np.zeros(d)
-    for fold_idx, test in enumerate(_folds_from_column(fold_of)):
-        train = np.setdiff1d(all_idx, test)
+    for split in _folds_from_column(fold_of):
+        train = split.train_indices
         clf = train_mlp(values[train], y[train], seed=args.seed, epochs=args.epochs)
         baseline = values[train].mean(axis=0)
-        for i in test:
+        for i in split.test_indices:
             report = shapley_attribution(clf, values[i], baseline)
-            rows.append([keys[i][0], keys[i][1], fold_idx] + [v for v in report.values])
+            rows.append([keys[i][0], keys[i][1], split.fold] + [v for v in report.values])
             abs_sum += np.abs(report.values)
     write_csv(
         out / "attribution.csv",
@@ -574,9 +582,8 @@ def _cmd_evaluate_interpret(args, out: Path) -> dict:
     if not 0 <= args.fold < len(folds):
         raise DataValidationError(f"--fold must lie in [0, {len(folds)})")
     model = load_model(Path(args.run) / f"fold_{args.fold}.cgmodel")
-    held_out = set(folds[args.fold].tolist())
-    train_records = [r for i, r in enumerate(records) if i not in held_out]
-    tables = interpret_components(model, train_records, components)
+    split = fold_splits(folds, len(records))[args.fold]
+    tables = interpret_components(model, [records[i] for i in split.train_indices], components)
     write_csv(
         out / "cognitive_loadings.csv",
         tables.cognitive_loadings,
@@ -598,7 +605,7 @@ def _cmd_report(args, out: Path) -> dict:
         if not root_path.is_dir():
             raise FileNotFoundError(f"not a directory: {root_path}")
         for metrics in sorted(root_path.rglob("metrics.json")):
-            collected[str(metrics.parent)] = json.loads(metrics.read_text())
+            collected[str(metrics.parent)] = _read_json(metrics)
     _write_json(out / "report.json", collected)
     print(f"aggregated {len(collected)} metrics files into {out / 'report.json'}")
     return {"outputs": ["report.json"]}

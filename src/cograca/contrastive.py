@@ -73,17 +73,11 @@ class BatchIndex:
 
 @dataclass(frozen=True)
 class ContrastiveConfig:
-    """Temperature and loss weights; defaults are the operating values.
-
-    include_positive_in_denominator restores the standard InfoNCE denominator
-    for the multimodal loss; off by default, where the positive pair competes
-    only against the subject's other visits.
-    """
+    """Temperature and loss weights; defaults are the operating values."""
 
     temperature: float = 0.9
     lambda1: float = 1.5
     lambda2: float = 0.5
-    include_positive_in_denominator: bool = False
 
     def __post_init__(self) -> None:
         if self.temperature <= 0.0:
@@ -156,6 +150,8 @@ def multimodal_loss(
 ) -> tuple[float, np.ndarray]:
     """Within each multi-visit subject, align a visit's embedding with its own
     cognitive vector against the subject's other visits' cognitive vectors.
+    The positive pair is left out of the denominator, which holds only the
+    subject's other visits (standard InfoNCE would include it).
 
     The per-subject sums are averaged over all distinct subjects in the
     batch; single-visit subjects contribute nothing. Returns (loss, gradient
@@ -195,8 +191,7 @@ def multimodal_loss(
     unit_h = embeddings[active] / norms_h[active, None]
     unit_c = cognition[active] / norms_c[active, None]
     same = codes[active, None] == codes[None, active]
-    if not cfg.include_positive_in_denominator:
-        np.fill_diagonal(same, False)
+    np.fill_diagonal(same, False)
     tau = cfg.temperature
     logits = (unit_h @ unit_c.T) / tau
     masked = np.where(same, logits, -np.inf)

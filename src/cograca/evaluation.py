@@ -23,7 +23,7 @@ from .numerics import (
     mann_whitney_u,
     wasserstein_1d,
 )
-from .pipeline import TrainedModel, _stack_records
+from .pipeline import TrainedModel, _stack_records, fold_splits, out_of_fold
 
 __all__ = [
     "SimilarityReport",
@@ -263,28 +263,28 @@ def cross_validated_bacc(
     """Balanced accuracy of the MLP protocol, repeated over seeds.
 
     Per repeat, one classifier is trained per fold on that fold's complement
-    and the pooled held-out predictions are scored once. Returns the
-    per-repeat balanced accuracies.
+    and the pooled held-out predictions are scored once. The folds must
+    partition the visits (see out_of_fold). Returns the per-repeat balanced
+    accuracies.
     """
     if repeats < 1:
         raise ValueError(f"MLP repeats must be at least 1, got {repeats}")
     representations = np.asarray(representations, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = representations.shape[0]
-    all_idx = np.arange(n)
+    splits = fold_splits(folds, n)
     out = np.zeros(repeats)
     for rep in range(repeats):
-        predictions = np.full(n, -1, dtype=np.int64)
-        for fold_idx, test in enumerate(folds):
-            train = np.setdiff1d(all_idx, test)
-            clf = train_mlp(
-                representations[train],
-                labels[train],
-                seed=_derive_seed(seed, rep * len(folds) + fold_idx),
+        predictions = [
+            train_mlp(
+                representations[s.train_indices],
+                labels[s.train_indices],
+                seed=_derive_seed(seed, rep * len(folds) + s.fold),
                 epochs=epochs,
-            )
-            predictions[test] = clf.predict(representations[test])
-        out[rep] = balanced_accuracy(predictions, labels)
+            ).predict(representations[s.test_indices])
+            for s in splits
+        ]
+        out[rep] = balanced_accuracy(out_of_fold(splits, predictions, n)[0], labels)
     return out
 
 

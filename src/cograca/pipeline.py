@@ -1,6 +1,7 @@
-"""Training orchestration: subject-level folds, the alternating optimization
-loop (re-solve the shared representation each epoch, then step the encoder),
-and fingerprint generation for train and held-out visits.
+"""Training orchestration: subject-level folds and the cross-validation
+protocol (training complements, held-out assembly), the alternating
+optimization loop (re-solve the shared representation each epoch, then step
+the encoder), and fingerprint generation for train and held-out visits.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ __all__ = [
     "TrainedModel",
     "NonFiniteLossError",
     "make_subject_folds",
+    "FoldSplit",
+    "fold_splits",
+    "out_of_fold",
     "train_model",
     "compute_fingerprints",
     "cross_validate",
@@ -118,10 +122,56 @@ def make_subject_folds(subject_ids, k: int, seed: int) -> list[np.ndarray]:
         raise ValueError(f"cannot make {k} folds from {len(distinct)} subjects")
     perm = np.random.default_rng(seed).permutation(len(distinct))
     fold_of_subject = {distinct[int(p)]: i % k for i, p in enumerate(perm)}
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for visit_idx, subject in enumerate(subject_ids):
-        folds[fold_of_subject[subject]].append(visit_idx)
-    return [np.array(f, dtype=np.int64) for f in folds]
+    fold_of = np.array([fold_of_subject[s] for s in subject_ids], dtype=np.int64)
+    return [np.flatnonzero(fold_of == f) for f in range(k)]
+
+
+@dataclass(frozen=True)
+class FoldSplit:
+    """One cross-validation fold: its id, the sorted training complement,
+    and the held-out (test) visit indices."""
+
+    fold: int
+    train_indices: np.ndarray
+    test_indices: np.ndarray
+
+
+def fold_splits(folds, n_visits: int, fold_ids=None) -> list[FoldSplit]:
+    """One split per test fold, in order, with the fold's position as its id
+    unless `fold_ids` gives them. The folds may leave visits out or overlap;
+    out_of_fold checks that they do not. Each must be a 1-D array of integer
+    visit indices in [0, n_visits)."""
+    if fold_ids is None:
+        fold_ids = range(len(folds))
+    splits = []
+    for fold_id, test in zip(fold_ids, folds, strict=True):
+        test = np.asarray(test)
+        if test.ndim != 1 or test.dtype.kind not in "iu" or (
+                test.size and not 0 <= test.min() <= test.max() < n_visits):
+            raise ValueError(f"fold {fold_id} is not a 1-D array of visit indices "
+                             f"in [0, {n_visits})")
+        train = np.ones(n_visits, dtype=bool)
+        train[test] = False
+        splits.append(FoldSplit(int(fold_id), np.flatnonzero(train), test))
+    return splits
+
+
+def out_of_fold(splits, per_fold, n_visits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows computed per fold, per_fold[k] holding one row per test index of
+    splits[k] in that order, put in visit order. Returns (rows, fold id per
+    visit). Raises ValueError unless the test folds hold every visit of
+    range(n_visits) exactly once, naming the first visit that breaks it."""
+    stacked = np.concatenate([s.test_indices for s in splits])
+    counts = np.bincount(stacked, minlength=n_visits)
+    if counts.size > n_visits:
+        raise ValueError(f"folds hold visit {stacked.max()}, outside [0, {n_visits})")
+    for held_by, bad in (("no", counts == 0), ("more than one", counts > 1)):
+        if bad.any():
+            raise ValueError(f"folds must partition the {n_visits} visits, but visit "
+                             f"{np.argmax(bad)} is in {held_by} fold")
+    order = np.argsort(stacked, kind="stable")
+    fold_of = np.repeat([s.fold for s in splits], [s.test_indices.size for s in splits])
+    return np.concatenate(per_fold)[order], fold_of[order].astype(np.int64)
 
 
 def _stack_records(records: list[VisitRecord]):
@@ -281,13 +331,13 @@ def cross_validate(
     cfg.seed, so reruns reproduce the same models.
     """
     folds = make_subject_folds([r.subject_id for r in records], cfg.folds, cfg.seed)
-    models = []
-    for fold_idx, test in enumerate(folds):
-        held_out = set(test.tolist())
-        train_records = [r for i, r in enumerate(records) if i not in held_out]
-        models.append(
-            train_model(train_records, replace(cfg, seed=_derive_seed(cfg.seed, fold_idx)))
+    models = [
+        train_model(
+            [records[i] for i in split.train_indices],
+            replace(cfg, seed=_derive_seed(cfg.seed, split.fold)),
         )
+        for split in fold_splits(folds, len(records))
+    ]
     return folds, models
 
 
@@ -298,17 +348,14 @@ def out_of_fold_fingerprints(
     mode: str = "fused",
 ) -> tuple[list[Fingerprint], np.ndarray]:
     """Each visit's fingerprint from the model that held it out, aligned with
-    the record order. Returns (fingerprints, fold id per visit)."""
+    the record order. Returns (fingerprints, fold id per visit). The folds
+    must partition the visits (see out_of_fold), one model per fold."""
     if mode == "train-shared":
         raise ValueError("held-out fingerprints require a projection mode")
-    fingerprints: list[Fingerprint | None] = [None] * len(records)
-    fold_of = np.full(len(records), -1, dtype=np.int64)
-    for fold_idx, test_idx in enumerate(folds):
-        test_records = [records[i] for i in test_idx]
-        fps = compute_fingerprints(models[fold_idx], test_records, mode=mode)
-        for i, fp in zip(test_idx, fps):
-            fingerprints[int(i)] = fp
-            fold_of[int(i)] = fold_idx
-    if any(fp is None for fp in fingerprints):
-        raise ValueError("folds do not cover every visit")
-    return fingerprints, fold_of  # type: ignore[return-value]
+    splits = fold_splits(folds, len(records))
+    per_fold = [
+        compute_fingerprints(model, [records[i] for i in split.test_indices], mode=mode)
+        for split, model in zip(splits, models, strict=True)
+    ]
+    fingerprints, fold_of = out_of_fold(splits, per_fold, len(records))
+    return fingerprints.tolist(), fold_of

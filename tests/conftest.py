@@ -11,6 +11,10 @@ settings.register_profile(
     max_examples=25,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# the CI's wide fuzzing pass: pytest --hypothesis-profile=wide
+settings.register_profile(
+    "wide", settings.get_profile("cograca"), derandomize=False, max_examples=500
+)
 settings.load_profile("cograca")
 
 
@@ -68,6 +72,22 @@ def with_array_shape(name: str, reshape):
         spec["shape"] = reshape(spec["shape"])
         return header
     return damage
+
+
+# how each damage breaks a partition of the visits into folds, and the
+# message the rejection must carry
+NON_PARTITION = {
+    "partial": "is in no fold",
+    "overlap": "is in more than one fold",
+}
+
+
+def damaged_folds(folds, damage: str) -> list:
+    """`partial` drops the last fold; `overlap` also puts fold 1's first
+    visit into fold 0."""
+    if damage == "partial":
+        return list(folds[:-1])
+    return [np.append(folds[0], folds[1][0])] + list(folds[1:])
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ from cograca.data import SyntheticConfig, generate_synthetic
 from cograca.numerics import _lead_signs
 from cograca.pipeline import make_subject_folds
 
+from conftest import NON_PARTITION, damaged_folds
 from test_gcca import first_canonical_correlation
 
 
@@ -251,8 +252,9 @@ class TestBaselinePipeline:
         assert np.allclose(first.test_representations[0], expect)
 
     def test_no_leakage_from_held_out_visits(self, cohort):
-        # Corrupting a held-out visit must not move the training-split
-        # representations of that fold.
+        # Corrupting a held-out visit must move its own row only: the fold's
+        # model is fit on the training visits, so no other held-out row of
+        # that fold may change.
         records, folds = cohort
         base = baseline_pipeline(records, "pca-cca", folds, n_components=4)
         victim_idx = int(folds[0][0])
@@ -263,9 +265,16 @@ class TestBaselinePipeline:
         )
         mutated[victim_idx] = corrupt
         redo = baseline_pipeline(mutated, "pca-cca", folds, n_components=4)
-        assert np.array_equal(
-            base[0].train_representations, redo[0].train_representations
+        assert not np.array_equal(
+            base[0].test_representations[0], redo[0].test_representations[0]
         )
+        assert np.array_equal(
+            base[0].test_representations[1:], redo[0].test_representations[1:]
+        )
+        for other_base, other_redo in zip(base[1:], redo[1:]):
+            assert not np.array_equal(
+                other_base.test_representations, other_redo.test_representations
+            )
 
     def test_deterministic(self, cohort):
         records, folds = cohort
@@ -294,3 +303,19 @@ class TestBaselinePipeline:
         results = baseline_pipeline(records, "cognition-only", folds)
         with pytest.raises(ValueError):
             out_of_fold_matrix(results, len(records) + 1)
+
+    def test_accepts_folds_that_leave_visits_out(self, cohort):
+        # one held-out fold, as a single-split benchmark passes it
+        records, folds = cohort
+        (single,) = baseline_pipeline(records, "pca-cca", folds[:1], n_components=4)
+        full = baseline_pipeline(records, "pca-cca", folds, n_components=4)
+        assert np.array_equal(single.test_representations, full[0].test_representations)
+        assert single.train_indices.tolist() == sorted(set(range(len(records))) - set(folds[0]))
+
+    @pytest.mark.parametrize("damage", ["partial", "overlap"])
+    def test_out_of_fold_matrix_rejects_non_partition(self, cohort, damage):
+        records, folds = cohort
+        results = baseline_pipeline(records, "cognition-only", damaged_folds(folds, damage))
+        with pytest.raises(ValueError, match=NON_PARTITION[damage]):
+            out_of_fold_matrix(results, len(records))
+

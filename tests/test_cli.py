@@ -395,6 +395,31 @@ class TestEvaluateCli:
         scores = [float(line.split(",")[2]) for line in summary[1:]]
         assert scores == sorted(scores, reverse=True)
 
+    def test_attribute_writes_the_csv_fold_ids(self, workspace, tmp_path):
+        # the fold column once held each fold's position (0, 1, 2) in place
+        # of its id; the ids and everything else must come through as read
+        lines = (workspace / "fp" / "fingerprints.csv").read_text().splitlines()
+        shifted = [lines[0]] + [
+            ",".join(f[:2] + [str(int(f[2]) + 1)] + f[3:])
+            for f in (line.split(",") for line in lines[1:])
+        ]
+        reps = tmp_path / "reps.csv"
+        reps.write_text("\n".join(shifted) + "\n")
+        outs = {}
+        for name, path in (("zero", workspace / "fp" / "fingerprints.csv"), ("one", reps)):
+            outs[name] = tmp_path / name
+            assert main(["evaluate", "attribute", "--representations", str(path),
+                         "--data", str(workspace / "data"), "--epochs", "10",
+                         "--out", str(outs[name])]) == 0
+        zero, one = ((outs[k] / "attribution.csv").read_text().splitlines()
+                     for k in ("zero", "one"))
+        assert {line.split(",")[2] for line in one[1:]} == {"1", "2", "3"}
+        assert one[0] == zero[0]
+        for a, b in zip(zero[1:], one[1:]):
+            fa, fb = a.split(","), b.split(",")
+            assert int(fb[2]) == int(fa[2]) + 1
+            assert fa[:2] + fa[3:] == fb[:2] + fb[3:]
+
     def test_interpret(self, workspace, tmp_path):
         out = tmp_path / "interp"
         assert main(["evaluate", "interpret", "--data", str(workspace / "data"),
@@ -462,6 +487,26 @@ class TestReport:
 
     def test_missing_dir_exit_3(self, tmp_path):
         assert main(["report", str(tmp_path / "ghost"), "--out", str(tmp_path / "o")]) == 3
+
+    def test_directory_named_metrics_json_exit_3(self, tmp_path, capsys):
+        # once exited 1 with IsADirectoryError
+        (tmp_path / "runs" / "a" / "metrics.json").mkdir(parents=True)
+        assert main(["report", str(tmp_path / "runs"), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cograca: error[3]: missing input file: ")
+        assert str(tmp_path / "runs" / "a" / "metrics.json") in err
+
+    @pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe{", b"[" * 100_000],
+                             ids=["malformed", "undecodable", "too-deep"])
+    def test_bad_metrics_json_exit_4_names_file(self, tmp_path, capsys, content):
+        # malformed JSON once exited 4 with only json's message, not the file
+        victim = tmp_path / "runs" / "a" / "metrics.json"
+        victim.parent.mkdir(parents=True)
+        victim.write_bytes(content)
+        assert main(["report", str(tmp_path / "runs"), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"cograca: error[4]: {victim}: not a JSON file")
+        assert not (tmp_path / "o" / "report.json").exists()
 
 
 class TestReproducibility:

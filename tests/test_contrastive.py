@@ -50,8 +50,6 @@ def reference_multimodal(emb, cogs, index, cfg):
         for i in visits:
             others = [j for j in visits if j != i]
             den = sum(math.exp(sim[i, j] / cfg.temperature) for j in others)
-            if cfg.include_positive_in_denominator:
-                den += math.exp(sim[i, i] / cfg.temperature)
             total += math.log(math.exp(sim[i, i] / cfg.temperature) / den)
     return -total / len(subjects)
 
@@ -84,8 +82,7 @@ def loop_multimodal(embeddings, cognition, index, cfg):
         unit_c, _ = unit_rows(cognition[pos], sub, "cognitive vector")
         logits = (unit_h @ unit_c.T) / tau
         denom_logits = logits.copy()
-        if not cfg.include_positive_in_denominator:
-            np.fill_diagonal(denom_logits, -np.inf)
+        np.fill_diagonal(denom_logits, -np.inf)
         row_max = denom_logits.max(axis=1, keepdims=True)
         expd = np.exp(denom_logits - row_max)
         z = expd.sum(axis=1, keepdims=True)
@@ -135,7 +132,6 @@ class TestConfig:
         cfg = ContrastiveConfig()
         assert cfg.temperature == 0.9
         assert (cfg.lambda1, cfg.lambda2) == (1.5, 0.5)
-        assert not cfg.include_positive_in_denominator
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -231,30 +227,24 @@ class TestIndividualized:
 
 class TestMultimodal:
     def test_matches_reference(self, rng):
-        for flag in (False, True):
-            cfg = ContrastiveConfig(include_positive_in_denominator=flag)
-            for _ in range(6):
-                emb, cogs, index = make_batch(rng)
-                loss, _ = multimodal_loss(emb, cogs, index, cfg)
-                assert loss == pytest.approx(
-                    reference_multimodal(emb, cogs, index, cfg), abs=1e-12
-                )
+        cfg = ContrastiveConfig()
+        for _ in range(6):
+            emb, cogs, index = make_batch(rng)
+            loss, _ = multimodal_loss(emb, cogs, index, cfg)
+            assert loss == pytest.approx(
+                reference_multimodal(emb, cogs, index, cfg), abs=1e-12
+            )
 
     def test_identical_embeddings_closed_form(self):
-        # One subject, two visits, everything the same unit direction. With
-        # the positive excluded the per-visit ratio is exp/exp = 1 -> loss 0;
-        # with the positive included each visit contributes ln 2. Three
-        # subjects total, so the included-positive loss is 2 ln 2 / 3.
+        # One subject, two visits, everything the same unit direction. The
+        # positive is left out of the denominator, so the per-visit ratio is
+        # exp/exp = 1 -> loss 0.
         v = np.array([0.6, 0.8])
         emb = np.tile(v, (4, 1))
         cogs = np.tile(v, (4, 1))
         index = BatchIndex.from_visits(["a", "a", "b", "c"], [1, 2, 1, 1])
-        loss_excl, _ = multimodal_loss(emb, cogs, index, ContrastiveConfig())
-        assert loss_excl == pytest.approx(0.0, abs=1e-12)
-        loss_incl, _ = multimodal_loss(
-            emb, cogs, index, ContrastiveConfig(include_positive_in_denominator=True)
-        )
-        assert loss_incl == pytest.approx(2 * math.log(2) / 3, abs=1e-12)
+        loss, _ = multimodal_loss(emb, cogs, index, ContrastiveConfig())
+        assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_single_visit_batch_warns_and_zeroes(self, rng):
         emb = rng.standard_normal((3, 4))
@@ -266,11 +256,10 @@ class TestMultimodal:
         assert np.all(grad == 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("flag", [False, True])
-    def test_grad_matches_finite_differences(self, seed, flag):
+    def test_grad_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         emb, cogs, index = make_batch(rng)
-        cfg = ContrastiveConfig(include_positive_in_denominator=flag)
+        cfg = ContrastiveConfig()
         _, grad = multimodal_loss(emb, cogs, index, cfg)
 
         def scalar(x):
@@ -289,7 +278,7 @@ class TestMultimodal:
         # Adding a single-visit subject leaves every term unchanged but grows
         # the normalizer, scaling the loss by S/(S+1).
         emb, cogs, index = make_batch(rng, subjects=("a", "a", "b", "b"))
-        cfg = ContrastiveConfig(include_positive_in_denominator=True)
+        cfg = ContrastiveConfig()
         base, _ = multimodal_loss(emb, cogs, index, cfg)
         emb2 = np.vstack([emb, rng.standard_normal(6)])
         cogs2 = np.vstack([cogs, rng.standard_normal(6)])
@@ -305,13 +294,12 @@ class TestMultimodal:
             multimodal_loss(emb, cogs[:, :4], index, ContrastiveConfig())
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("flag", [False, True])
-    def test_matches_per_subject_loop(self, seed, flag):
+    def test_matches_per_subject_loop(self, seed):
         rng = np.random.default_rng(seed)
         index = BatchIndex.from_visits(*zip(*INTERLEAVED))
         emb = rng.standard_normal((index.n_visits, 5))
         cogs = rng.standard_normal((index.n_visits, 5))
-        cfg = ContrastiveConfig(temperature=0.7, include_positive_in_denominator=flag)
+        cfg = ContrastiveConfig(temperature=0.7)
         loss, grad = multimodal_loss(emb, cogs, index, cfg)
         ref_loss, ref_grad = loop_multimodal(emb, cogs, index, cfg)
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)

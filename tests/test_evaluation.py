@@ -20,6 +20,8 @@ from cograca.evaluation import (
 from cograca.numerics import AdamState, adam_step
 from cograca.pipeline import TrainConfig, train_model
 
+from conftest import NON_PARTITION, damaged_folds
+
 
 class TestSimilarity:
     def test_matrix_properties(self, rng):
@@ -203,6 +205,15 @@ class TestCrossValidatedBacc:
         assert a.shape == (3,)
         assert np.array_equal(a, b)
         assert np.all(a >= 0.8)  # separable blobs
+
+    @pytest.mark.parametrize("damage", ["partial", "overlap"])
+    def test_rejects_folds_that_do_not_partition(self, rng, damage):
+        # partial folds once scored each unheld visit as class -1, and an
+        # overlapping fold silently overwrote another fold's predictions
+        x, y = blobs(rng, n_per=30, d=6)
+        folds = [np.arange(0, 20), np.arange(20, 40), np.arange(40, 60)]
+        with pytest.raises(ValueError, match=NON_PARTITION[damage]):
+            cross_validated_bacc(x, y, damaged_folds(folds, damage), repeats=1, epochs=5)
 
     def test_repeats_vary(self, rng):
         x, y = blobs(rng, n_per=30, d=6)

@@ -190,6 +190,9 @@ def dataset(tmp_path_factory) -> Path:
          for i, r in enumerate(records)],
         header=["subject_id", "visit", "fold", "tag", "f_1", "f_2", "f_3"],
     )
+    (root / "metrics.json").write_text(
+        '{"bacc_mean": 0.5, "bacc_per_seed": [0.5, 0.25], "mwu_p": null, "task": "a"}\n'
+    )
     return root
 
 
@@ -279,4 +282,11 @@ class TestFuzzReaders:
             if analysis == "attribute":
                 argv += ["--data", str(root), "--epochs", "2"]
             assert main(argv) in (0, 3, 4)
+
+    @given(st.data())
+    def test_metrics_json_through_report(self, dataset, data):
+        payload = data.draw(_mutations((dataset / "metrics.json").read_bytes()))
+        tmp, root = _copy_with(dataset, "metrics.json", payload)
+        with tmp:
+            assert main(["report", str(root), "--out", str(root / "out")]) in (0, 3, 4)
 

@@ -13,10 +13,14 @@ from cograca.pipeline import (
     _derive_seed,
     compute_fingerprints,
     cross_validate,
+    fold_splits,
     make_subject_folds,
+    out_of_fold,
     out_of_fold_fingerprints,
     train_model,
 )
+
+from conftest import NON_PARTITION, damaged_folds
 
 COHORT = SyntheticConfig(subjects=10, rois=12, d_cog=8, latent_dim=4, seed=5)
 TINY_TRAIN = TrainConfig(epochs=4, hidden_dim=8, r=8, d_r=5, seed=1, folds=3)
@@ -219,6 +223,41 @@ class TestFingerprints:
             assert np.array_equal(a.values, b.values)
 
 
+class TestFoldProtocol:
+    def test_split_is_fold_id_sorted_complement_and_test(self):
+        splits = fold_splits([np.array([4, 1]), np.array([0, 2, 3])], 5, fold_ids=[7, 9])
+        assert [s.fold for s in splits] == [7, 9]
+        assert splits[0].train_indices.tolist() == [0, 2, 3]
+        assert splits[0].test_indices.tolist() == [4, 1]
+        assert splits[1].train_indices.tolist() == [1, 4]
+
+    def test_assembles_rows_in_visit_order_with_fold_column(self):
+        splits = fold_splits([np.array([4, 1]), np.array([0, 2, 3])], 5, fold_ids=[7, 9])
+        rows, fold_of = out_of_fold(splits, [np.array([40, 10]), np.array([0, 20, 30])], 5)
+        assert rows.tolist() == [0, 10, 20, 30, 40]
+        assert fold_of.tolist() == [9, 7, 9, 9, 7]
+        assert fold_of.dtype == np.int64
+
+    @pytest.mark.parametrize("fold", [[5], [-1], [0.0], [[0]]],
+                             ids=["past-end", "negative", "float", "2-d"])
+    def test_rejects_a_fold_that_is_not_visit_indices(self, fold):
+        with pytest.raises(ValueError, match="visit indices in \\[0, 5\\)"):
+            fold_splits([np.array([0, 1]), np.array(fold)], 5)
+
+    @pytest.mark.parametrize("damage", ["partial", "overlap"])
+    def test_rejects_non_partition(self, damage):
+        folds = [np.array([0, 1]), np.array([2, 3]), np.array([4])]
+        splits = fold_splits(damaged_folds(folds, damage), 5)
+        rows = [s.test_indices for s in splits]
+        with pytest.raises(ValueError, match=NON_PARTITION[damage]):
+            out_of_fold(splits, rows, 5)
+
+    def test_rejects_a_visit_past_the_count(self):
+        splits = fold_splits([np.array([0, 1]), np.array([2, 3])], 4)
+        with pytest.raises(ValueError, match="outside"):
+            out_of_fold(splits, [s.test_indices for s in splits], 3)
+
+
 class TestCrossValidate:
     def test_shapes_and_coverage(self, records):
         folds, models = cross_validate(records, TINY_TRAIN)
@@ -249,6 +288,13 @@ class TestCrossValidate:
         folds, models = cross_validate(records, TINY_TRAIN)
         with pytest.raises(ValueError):
             out_of_fold_fingerprints(folds, models, records, mode="train-shared")
+
+    @pytest.mark.parametrize("damage", ["partial", "overlap"])
+    def test_out_of_fold_rejects_non_partition(self, records, damage):
+        folds, models = cross_validate(records, TINY_TRAIN)
+        models = models[: len(damaged_folds(folds, damage))]
+        with pytest.raises(ValueError, match=NON_PARTITION[damage]):
+            out_of_fold_fingerprints(damaged_folds(folds, damage), models, records)
 
     def test_fold_seeds_differ(self):
         seeds = {_derive_seed(0, k) for k in range(5)}
