@@ -77,26 +77,33 @@ _CLI_KIND_MAP = {
 
 
 class _Formatter(argparse.RawDescriptionHelpFormatter):
-    """Fixed width so --help output is independent of the terminal."""
+    """Fixed width so --help output is independent of the terminal; every
+    optional flag with a default shows it after its help."""
 
     def __init__(self, prog: str):
         super().__init__(prog, width=96, max_help_position=30)
 
+    def _get_help_string(self, action) -> str:
+        if action.option_strings and action.default not in (None, argparse.SUPPRESS):
+            return action.help + " (default %(default)s)"
+        return action.help
+
+
+def _add_config_flags(parser, config_type, **overrides) -> None:
+    """One --field-name flag per field of `config_type` whose metadata has a
+    help string, taking the field's default and that default's type;
+    `overrides` replaces the keyword arguments of the named fields' flags."""
+    for f in fields(config_type):
+        if "help" in f.metadata:
+            kwargs = {"type": type(f.default), "default": f.default,
+                      "help": f.metadata["help"], **overrides.get(f.name, {})}
+            parser.add_argument("--" + f.name.replace("_", "-"), **kwargs)
+
 
 def _write_json(path: Path, payload: dict) -> None:
-    atomic_write_bytes(path, (json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n").encode())
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+    # numpy floats are floats to json; numpy arrays and other scalars go through tolist
+    text = json.dumps(payload, sort_keys=True, indent=2, default=lambda obj: obj.tolist())
+    atomic_write_bytes(path, (text + "\n").encode())
 
 
 def _run_config(args) -> dict:
@@ -221,21 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "visit, labels.csv (binary attribute), latents.csv (ground truth).",
     )
     p_synth.add_argument("--out", required=True, help="output dataset directory")
-    p_synth.add_argument("--seed", type=int, default=7, help="generator seed (default 7)")
-    p_synth.add_argument("--subjects", type=int, default=30, help="number of subjects (default 30)")
-    p_synth.add_argument("--rois", type=int, default=24, help="nodes per graph (default 24)")
-    p_synth.add_argument("--d-cog", type=int, default=16, help="cognitive score count (default 16)")
-    p_synth.add_argument("--two-visit-fraction", type=float, default=0.5,
-                         help="fraction of subjects with two visits (default 0.5)")
-    p_synth.add_argument("--latent-dim", type=int, default=6, help="latent dimension (default 6)")
-    p_synth.add_argument("--signal", type=float, default=1.0,
-                         help="subject-signal strength in connectivity (default 1.0)")
-    p_synth.add_argument("--coupling", type=float, default=0.9,
-                         help="brain-cognition coupling in [0,1] (default 0.9)")
-    p_synth.add_argument("--noise", type=float, default=0.25,
-                         help="visit noise level (default 0.25)")
-    p_synth.add_argument("--planted-strength", type=float, default=0.0,
-                         help="strength of one label-linked edge, 0 disables (default 0)")
+    _add_config_flags(p_synth, SyntheticConfig)
 
     p_train = sub.add_parser(
         "train", formatter_class=_Formatter,
@@ -246,23 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_train.add_argument("--data", required=True, help="dataset directory (manifest.csv)")
     p_train.add_argument("--out", required=True, help="output run directory")
-    p_train.add_argument("--epochs", type=int, default=1000, help="training epochs (default 1000)")
-    p_train.add_argument("--learning-rate", type=float, default=0.001,
-                         help="Adam learning rate (default 0.001)")
-    p_train.add_argument("--hidden-dim", type=int, default=32,
-                         help="encoder hidden width (default 32)")
-    p_train.add_argument("--r", type=int, default=16, help="embedding dimension (default 16)")
-    p_train.add_argument("--d-r", type=int, default=16, help="shared dimension (default 16)")
-    p_train.add_argument("--temperature", type=float, default=0.9,
-                         help="contrastive temperature (default 0.9)")
-    p_train.add_argument("--lambda1", type=float, default=1.5,
-                         help="individualized loss weight (default 1.5)")
-    p_train.add_argument("--lambda2", type=float, default=0.5,
-                         help="multimodal loss weight (default 0.5)")
-    p_train.add_argument("--ridge", default="scaled",
-                         help="covariance ridge: 'scaled' or a float (default scaled)")
-    p_train.add_argument("--seed", type=int, default=0, help="training seed (default 0)")
-    p_train.add_argument("--folds", type=int, default=5, help="cross-validation folds (default 5)")
+    # --ridge takes 'scaled' (the field's None) or a float; _train_config parses it
+    _add_config_flags(p_train, TrainConfig, ridge=dict(type=str, default="scaled"))
 
     p_fp = sub.add_parser(
         "fingerprint", formatter_class=_Formatter,
@@ -273,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fp.add_argument("--data", required=True, help="dataset directory")
     p_fp.add_argument("--run", required=True, help="training run directory")
     p_fp.add_argument("--mode", default="fused", choices=["fused", "brain", "cognition"],
-                      help="projection mode (default fused)")
+                      help="projection mode")
     p_fp.add_argument("--out", required=True, help="output directory for fingerprints.csv")
 
     p_base = sub.add_parser(
@@ -287,12 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="which baseline to run")
     p_base.add_argument("--data", required=True, help="dataset directory")
     p_base.add_argument("--out", required=True, help="output run directory")
-    p_base.add_argument("--n-components", type=int, default=20,
-                        help="ICA component count (default 20)")
+    p_base.add_argument("--n-components", type=int, default=20, help="ICA component count")
     p_base.add_argument("--variance-threshold", type=float, default=0.95,
-                        help="PCA explained-variance threshold (default 0.95)")
-    p_base.add_argument("--seed", type=int, default=0, help="fold/ICA seed (default 0)")
-    p_base.add_argument("--folds", type=int, default=5, help="cross-validation folds (default 5)")
+                        help="PCA explained-variance threshold")
+    p_base.add_argument("--seed", type=int, default=0, help="fold/ICA seed")
+    p_base.add_argument("--folds", type=int, default=5, help="cross-validation folds")
 
     p_eval = sub.add_parser(
         "evaluate", formatter_class=_Formatter,
@@ -321,11 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cls.add_argument("--representations", required=True, help="representation CSV")
     p_cls.add_argument("--data", required=True, help="dataset directory with labels.csv")
-    p_cls.add_argument("--task", default="attribute",
-                       help="label column in labels.csv (default attribute)")
-    p_cls.add_argument("--repeats", type=int, default=10, help="MLP seed repeats (default 10)")
-    p_cls.add_argument("--epochs", type=int, default=200, help="MLP epochs (default 200)")
-    p_cls.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    p_cls.add_argument("--task", default="attribute", help="label column in labels.csv")
+    p_cls.add_argument("--repeats", type=int, default=10, help="MLP seed repeats")
+    p_cls.add_argument("--epochs", type=int, default=200, help="MLP epochs")
+    p_cls.add_argument("--seed", type=int, default=0, help="base seed")
     p_cls.add_argument("--out", required=True, help="output directory")
 
     p_att = esub.add_parser(
@@ -338,10 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_att.add_argument("--representations", required=True, help="representation CSV")
     p_att.add_argument("--data", required=True, help="dataset directory with labels.csv")
-    p_att.add_argument("--task", default="attribute",
-                       help="label column in labels.csv (default attribute)")
-    p_att.add_argument("--epochs", type=int, default=200, help="MLP epochs (default 200)")
-    p_att.add_argument("--seed", type=int, default=0, help="MLP seed (default 0)")
+    p_att.add_argument("--task", default="attribute", help="label column in labels.csv")
+    p_att.add_argument("--epochs", type=int, default=200, help="MLP epochs")
+    p_att.add_argument("--seed", type=int, default=0, help="MLP seed")
     p_att.add_argument("--out", required=True, help="output directory")
 
     p_int = esub.add_parser(
@@ -353,9 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_int.add_argument("--data", required=True, help="dataset directory")
     p_int.add_argument("--run", required=True, help="training run directory")
-    p_int.add_argument("--components", default="0",
-                       help="comma-separated component indices (default 0)")
-    p_int.add_argument("--fold", type=int, default=0, help="which fold's model (default 0)")
+    p_int.add_argument("--components", default="0", help="comma-separated component indices")
+    p_int.add_argument("--fold", type=int, default=0, help="which fold's model")
     p_int.add_argument("--out", required=True, help="output directory")
 
     p_rep = sub.add_parser(

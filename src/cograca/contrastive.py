@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .numerics import _check_finite
+
 __all__ = [
     "BatchIndex",
     "ContrastiveConfig",
@@ -80,6 +82,7 @@ class ContrastiveConfig:
     lambda2: float = 0.5
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.temperature <= 0.0:
             raise ValueError("temperature must be positive")
         if self.lambda1 < 0.0 or self.lambda2 < 0.0:

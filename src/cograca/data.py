@@ -17,12 +17,13 @@ import typing
 import warnings
 from contextlib import contextmanager
 from functools import cache
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .encoder import ConnectivityGraph, build_graph
+from .numerics import _check_finite
 
 __all__ = [
     "VisitRecord",
@@ -260,22 +261,28 @@ class SyntheticConfig:
     Connectivity is a tanh-squashed low-rank expansion of a per-subject
     latent plus symmetric visit noise; cognition is a linear readout of the
     same latent, mixed with per-visit jitter by the coupling strength. The
-    binary attribute is the sign of one latent coordinate.
+    binary attribute is the sign of one latent coordinate. Each field with
+    a `help` has a `cograca synth` flag with that help.
     """
 
-    subjects: int = 30
-    two_visit_fraction: float = 0.5
-    rois: int = 24
-    d_cog: int = 16
-    latent_dim: int = 6
-    signal: float = 1.0
-    coupling: float = 0.9
-    noise: float = 0.25
-    planted_strength: float = 0.0
+    seed: int = field(default=7, metadata={"help": "generator seed"})
+    subjects: int = field(default=30, metadata={"help": "number of subjects"})
+    rois: int = field(default=24, metadata={"help": "nodes per graph"})
+    d_cog: int = field(default=16, metadata={"help": "cognitive score count"})
+    two_visit_fraction: float = field(
+        default=0.5, metadata={"help": "fraction of subjects with two visits"})
+    latent_dim: int = field(default=6, metadata={"help": "latent dimension"})
+    signal: float = field(
+        default=1.0, metadata={"help": "subject-signal strength in connectivity"})
+    coupling: float = field(
+        default=0.9, metadata={"help": "brain-cognition coupling in [0,1]"})
+    noise: float = field(default=0.25, metadata={"help": "visit noise level"})
+    planted_strength: float = field(
+        default=0.0, metadata={"help": "strength of one label-linked edge, 0 disables"})
     label_latent: int = 0
-    seed: int = 7
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if min(self.subjects, self.rois, self.d_cog, self.latent_dim) < 1:
             raise ValueError("counts must be positive")
         if not 0.0 <= self.two_visit_fraction <= 1.0:

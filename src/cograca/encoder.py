@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import glorot
+
 __all__ = [
     "ConnectivityGraph",
     "EncoderParams",
@@ -126,16 +128,11 @@ class EncoderParams:
         """Glorot-uniform initialization from a seeded generator."""
         if rng is None:
             rng = np.random.default_rng(0)
-
-        def glorot(fan_in: int, fan_out: int, shape) -> np.ndarray:
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-limit, limit, size=shape)
-
         return cls(
-            w1=glorot(d_in, hidden, (d_in, hidden)),
-            m1=glorot(2 * hidden, 1, (2 * hidden,)),
-            w2=glorot(hidden, out, (hidden, out)),
-            m2=glorot(2 * out, 1, (2 * out,)),
+            w1=glorot(rng, d_in, hidden),
+            m1=glorot(rng, 2 * hidden, 1, (2 * hidden,)),
+            w2=glorot(rng, hidden, out),
+            m2=glorot(rng, 2 * out, 1, (2 * out,)),
         )
 
     def as_dict(self) -> dict[str, np.ndarray]:

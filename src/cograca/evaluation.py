@@ -20,6 +20,7 @@ from .numerics import (
     _derive_seed,
     _unflatten,
     adam_step,
+    glorot,
     mann_whitney_u,
     wasserstein_1d,
 )
@@ -191,19 +192,14 @@ def train_mlp(
         raise ValueError("training labels contain a single class")
     n, d = x.shape
     rng = np.random.default_rng(seed)
-
-    def glorot(fan_in: int, fan_out: int) -> np.ndarray:
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
     shapes = {"w1": (d, 64), "b1": (64,), "w2": (64, 32), "b2": (32,),
               "w3": (32, 2), "b3": (2,)}
     # All six arrays live in one flat vector, so each epoch takes a single
     # Adam step; Adam is elementwise, so this equals six per-array steps.
     flat = np.concatenate([
-        glorot(d, 64).ravel(), np.zeros(64),
-        glorot(64, 32).ravel(), np.zeros(32),
-        glorot(32, 2).ravel(), np.zeros(2),
+        glorot(rng, d, 64).ravel(), np.zeros(64),
+        glorot(rng, 64, 32).ravel(), np.zeros(32),
+        glorot(rng, 32, 2).ravel(), np.zeros(2),
     ])
     opt = AdamState.for_params(flat, lr=learning_rate)
     onehot = np.eye(2)[y]

@@ -2,7 +2,8 @@
 
 Symmetric eigendecomposition with a fixed sign/order convention, the thin
 SVD that goes through it on a matrix's small Gram side, a pure functional
-Adam update, and the three statistics used by the evaluation
+Adam update, Glorot-uniform initialization, the finiteness rule for config
+values, and the three statistics used by the evaluation
 stack (Pearson correlation, 1-D Wasserstein distance, Mann-Whitney U).
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "sym_eig",
     "gram_svd",
     "adam_step",
+    "glorot",
     "pearson",
     "wasserstein_1d",
     "mann_whitney_u",
@@ -188,6 +190,21 @@ def adam_step(
     v_hat = v / (1.0 - state.beta2**t)
     updated = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return updated, replace(state, step=t, m=m, v=v)
+
+
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
+    """Glorot-uniform weights of `shape`, by default (fan_in, fan_out)."""
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out) if shape is None else shape)
+
+
+def _check_finite(config) -> None:
+    """Raise ValueError naming the first float field of dataclass `config`
+    that is NaN or infinite, which range comparisons let through."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def _unflatten(flat: np.ndarray, shapes: dict) -> dict:

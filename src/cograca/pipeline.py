@@ -7,7 +7,7 @@ the encoder), and fingerprint generation for train and held-out visits.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .gcca import (
     project_fingerprint,
     solve_gcca,
 )
-from .numerics import AdamState, _derive_seed, _unflatten, adam_step
+from .numerics import AdamState, _check_finite, _derive_seed, _unflatten, adam_step
 
 __all__ = [
     "TrainConfig",
@@ -45,21 +45,24 @@ __all__ = [
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for one training run; defaults are the operating
-    values. lambda1 = lambda2 = 0 is the correlation-only ablation."""
+    values. lambda1 = lambda2 = 0 is the correlation-only ablation. Each
+    field's `help` is its `cograca train` flag's help."""
 
-    epochs: int = 1000
-    learning_rate: float = 0.001
-    hidden_dim: int = 32
-    r: int = 16
-    d_r: int = 16
-    temperature: float = 0.9
-    lambda1: float = 1.5
-    lambda2: float = 0.5
-    ridge: float | None = None
-    seed: int = 0
-    folds: int = 5
+    epochs: int = field(default=1000, metadata={"help": "training epochs"})
+    learning_rate: float = field(default=0.001, metadata={"help": "Adam learning rate"})
+    hidden_dim: int = field(default=32, metadata={"help": "encoder hidden width"})
+    r: int = field(default=16, metadata={"help": "embedding dimension"})
+    d_r: int = field(default=16, metadata={"help": "shared dimension"})
+    temperature: float = field(default=0.9, metadata={"help": "contrastive temperature"})
+    lambda1: float = field(default=1.5, metadata={"help": "individualized loss weight"})
+    lambda2: float = field(default=0.5, metadata={"help": "multimodal loss weight"})
+    ridge: float | None = field(
+        default=None, metadata={"help": "covariance ridge: 'scaled' or a float"})
+    seed: int = field(default=0, metadata={"help": "training seed"})
+    folds: int = field(default=5, metadata={"help": "cross-validation folds"})
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
         if self.learning_rate <= 0.0:
@@ -250,17 +253,19 @@ def train_model(records: list[VisitRecord], cfg: TrainConfig) -> TrainedModel:
         pooled, _, _, caches = encode_batch(params, feats, masks)
         brain, cog, stats = z_score(pooled)
         solution = solve_gcca(brain, cog, cfg.d_r, cfg.ridge)
-        l_corr = corr_loss(solution, brain, cog)
-        # z-scoring stats are treated as constants in the backward pass
-        d_pooled = (corr_grad_brain(solution, brain) / stats.brain_std[:, None]).T
-        l_ind = l_mul = 0.0
-        if use_ind:
-            l_ind, g_ind = individualized_loss(pooled, index, ccfg)
-            d_pooled = d_pooled + cfg.lambda1 * g_ind
-        if use_mul:
-            l_mul, g_mul = multimodal_loss(pooled, cog.features.T, index, ccfg)
-            d_pooled = d_pooled + cfg.lambda2 * g_mul
-        l_total = l_corr + cfg.lambda1 * l_ind + cfg.lambda2 * l_mul
+        # no numpy float warnings: NonFiniteLossError alone reports a bad loss
+        with np.errstate(all="ignore"):
+            l_corr = corr_loss(solution, brain, cog)
+            # z-scoring stats are treated as constants in the backward pass
+            d_pooled = (corr_grad_brain(solution, brain) / stats.brain_std[:, None]).T
+            l_ind = l_mul = 0.0
+            if use_ind:
+                l_ind, g_ind = individualized_loss(pooled, index, ccfg)
+                d_pooled = d_pooled + cfg.lambda1 * g_ind
+            if use_mul:
+                l_mul, g_mul = multimodal_loss(pooled, cog.features.T, index, ccfg)
+                d_pooled = d_pooled + cfg.lambda2 * g_mul
+            l_total = l_corr + cfg.lambda1 * l_ind + cfg.lambda2 * l_mul
         if not np.isfinite(l_total):
             raise NonFiniteLossError(epoch, l_corr, l_ind, l_mul)
         trace[epoch] = (l_corr, l_ind, l_mul, l_total)

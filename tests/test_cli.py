@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cograca
+from cograca import cli
 from cograca.cli import full_help_text, main, rebuild_argv
 from cograca.data import SyntheticConfig, generate_synthetic, load_dataset, load_model
 from cograca.numerics import _derive_seed
@@ -18,6 +19,7 @@ from cograca.pipeline import TrainConfig
 from conftest import rewrite_model_header, with_array_shape
 
 HERE = Path(__file__).parent
+SRC = str(Path(cograca.__file__).parents[1])
 
 SYNTH_ARGS = [
     "synth", "--seed", "7", "--subjects", "10", "--rois", "10",
@@ -195,6 +197,63 @@ class TestTrain:
         assert record["model_kind"] == "GraCa"
 
 
+# (subcommand, field) for every float field of the two configs; each has a flag
+FLAGGED_FLOATS = [
+    (command, f.name)
+    for command, config_type in (("synth", SyntheticConfig), ("train", TrainConfig))
+    for f in dataclasses.fields(config_type)
+    if "float" in str(f.type)
+]
+
+
+class TestConfigFlags:
+    """The synth and train flags are their config's fields: a run without
+    optional flags uses the library defaults, and a value the config rejects
+    stops the run before it writes a file."""
+
+    def test_synth_defaults_are_the_library_defaults(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path)]) == 0
+        expected = dataclasses.asdict(SyntheticConfig())
+        del expected["label_latent"]  # the one field without a flag
+        assert json.loads((tmp_path / "run.json").read_text())["config"] == expected
+
+    def test_train_defaults_are_the_library_defaults(self, workspace, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cross_validate",
+                            lambda records, cfg: seen.append(cfg) or ([], []))
+        assert main(["train", "--data", str(workspace / "data"), "--out", str(tmp_path)]) == 0
+        assert seen == [TrainConfig()]
+        expected = {**dataclasses.asdict(TrainConfig()), "ridge": "scaled",
+                    "data": str(workspace / "data")}
+        assert json.loads((tmp_path / "run.json").read_text())["config"] == expected
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command,name", FLAGGED_FLOATS)
+    def test_nonfinite_value_exit_4_before_any_file(self, workspace, tmp_path, capsys,
+                                                    command, name, value):
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out), f"--{name.replace('_', '-')}={value}"]
+        if command == "train":
+            argv += ["--data", str(workspace / "data")]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            f"cograca: error[4]: {name} must be finite, got {float(value)}\n")
+        assert list(out.iterdir()) == []
+
+    def test_nonfinite_loss_is_one_stderr_line(self, workspace, tmp_path):
+        # a fresh interpreter, outside pytest's warning capture, with numpy's
+        # RuntimeWarnings turned into errors
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "cograca", *TRAIN_ARGS,
+             "--temperature", "1e-320", "--data", str(workspace / "data"),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), check=False,
+        )
+        assert proc.returncode == 5
+        assert proc.stderr.startswith("cograca: error[5]: non-finite loss at epoch 0")
+        assert proc.stderr.count("\n") == 1
+
+
 class TestFingerprint:
     def test_csv_schema(self, workspace):
         lines = (workspace / "fp" / "fingerprints.csv").read_text().splitlines()
@@ -289,7 +348,7 @@ class TestFingerprint:
         shutil.copytree(workspace / "data", data)
         victim = sorted(data.glob("connectivity_*.csv"))[0]
         victim.write_text(content)
-        env = dict(os.environ, PYTHONPATH=str(Path(cograca.__file__).parents[1]))
+        env = dict(os.environ, PYTHONPATH=SRC)
         proc = subprocess.run(
             [sys.executable, "-m", "cograca", "fingerprint", "--data", str(data),
              "--run", str(workspace / "run"), "--out", str(tmp_path / "fp")],

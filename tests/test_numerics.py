@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,18 +8,30 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cograca.contrastive import ContrastiveConfig
+from cograca.data import SyntheticConfig
+from cograca.encoder import EncoderParams
 from cograca.numerics import (
     AdamState,
     _lead_signs,
     adam_step,
+    glorot,
     gram_svd,
     mann_whitney_u,
     pearson,
     sym_eig,
     wasserstein_1d,
 )
+from cograca.pipeline import TrainConfig
 
 from conftest import random_connectivity
+
+CONFIG_FLOATS = [
+    (config_type, f.name)
+    for config_type in (TrainConfig, SyntheticConfig, ContrastiveConfig)
+    for f in dataclasses.fields(config_type)
+    if "float" in str(f.type)
+]
 
 
 class TestSymEig:
@@ -180,6 +193,30 @@ class TestAdam:
         state = AdamState.for_params(params, lr=0.01)
         with pytest.raises(ValueError):
             adam_step(state, params, np.ones(3))
+
+
+class TestGlorot:
+    def test_shape_and_bounds(self):
+        w = glorot(np.random.default_rng(0), 40, 24)
+        assert w.shape == (40, 24)
+        assert np.abs(w).max() <= math.sqrt(6.0 / 64) and np.abs(w).max() > 0.2
+
+    def test_encoder_init_draws_in_order(self):
+        rng = np.random.default_rng(3)
+        expected = [glorot(rng, 5, 4), glorot(rng, 8, 1, (8,)),
+                    glorot(rng, 4, 3), glorot(rng, 6, 1, (6,))]
+        params = EncoderParams.init(5, 4, 3, np.random.default_rng(3))
+        for got, want in zip(params.as_dict().values(), expected):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("config_type,name", CONFIG_FLOATS,
+                         ids=[f"{c.__name__}.{n}" for c, n in CONFIG_FLOATS])
+def test_config_rejects_nonfinite_float(config_type, name, value):
+    # NaN passes every range comparison in the configs' own checks
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        config_type(**{name: value})
 
 
 class TestPearson:
