@@ -71,6 +71,15 @@ class ConnectivityGraph:
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "attributes", att)
 
+    @classmethod
+    def _from_checked(cls, adjacency: np.ndarray) -> "ConnectivityGraph":
+        """The graph of an adjacency that already obeys the rules, as its own
+        attributes, made without checking them again."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "adjacency", adjacency)
+        object.__setattr__(graph, "attributes", adjacency)
+        return graph
+
     @property
     def n_nodes(self) -> int:
         return self.adjacency.shape[0]
@@ -93,7 +102,7 @@ def build_graph(corr: np.ndarray) -> ConnectivityGraph:
     adj += 0.0  # clip keeps a -0.0; the threshold's zeros are all +0.0
     np.fill_diagonal(adj, 1.0)
     adj.flags.writeable = False
-    return ConnectivityGraph(adjacency=adj, attributes=adj)
+    return ConnectivityGraph._from_checked(adj)
 
 
 @dataclass(frozen=True)
@@ -192,7 +201,9 @@ def _layer_forward(w: np.ndarray, m: np.ndarray, feats: np.ndarray, mask: np.nda
 
 
 def _layer_backward(w: np.ndarray, m: np.ndarray, cache, d_h_out: np.ndarray):
-    """Reverse of _layer_forward. Returns (d_feats, d_w, d_m).
+    """Reverse of _layer_forward. Returns (d_z, d_w, d_m), with d_z
+    (N,V,h) the gradient of the transform z = feats W; the layer input's
+    gradient is d_z W^T, which the caller forms only where it is used.
 
     ReLU uses subgradient 0 at 0, matching the forward's max(., 0). Every
     contraction is a BLAS GEMM: batched per graph for the (V,V) attention
@@ -219,36 +230,95 @@ def _layer_backward(w: np.ndarray, m: np.ndarray, cache, d_h_out: np.ndarray):
     d_z2 += d_st.T @ m.reshape(2, h)
     d_m = (d_st @ z.reshape(n * v, h)).ravel()
     d_w = feats.reshape(n * v, d).T @ d_z2
-    d_feats = (d_z2 @ w.T).reshape(n, v, d)
-    return d_feats, d_w, d_m
+    return d_z, d_w, d_m
 
 
-def encode_batch(params: EncoderParams, feats: np.ndarray, masks: np.ndarray):
-    """Encode a stack of graphs sharing a node count.
+# One encoder block's (B,V,V) float slab is about this many bytes: B = 13
+# visits at 100 ROIs, 227 at 24. Visits are encoded independently, so the
+# block bounds the attention buffers and reverse-pass caches any pass holds.
+_BLOCK_BYTES = 1 << 20
 
-    feats (N,V,D), masks (N,V,V) bool. Returns (pooled (N,r), node
-    embeddings (N,V,r), attentions per layer, caches for the reverse pass).
-    Each cache is the tuple of arrays `_layer_forward` documents; the first
-    layer's holds `feats` itself. `feats` and `masks` are never written.
-    """
-    if feats.shape[2] != params.d_in:
+
+def _block_slices(n: int, v: int) -> list[slice]:
+    """Consecutive visit blocks covering range(n); only the last is short."""
+    size = max(1, _BLOCK_BYTES // (8 * v * v))
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
+
+
+def _block_forward(params: EncoderParams, graphs, sl: slice):
+    """Both layers over graphs[sl], whose attributes and neighbor masks are
+    stacked from the graphs' own arrays. Returns (node embeddings, caches)."""
+    block = graphs[sl]
+    feats = np.stack([g.attributes for g in block])
+    masks = np.stack([g.neighbor_mask() for g in block])
+    h1, _, c1 = _layer_forward(params.w1, params.m1, feats, masks)
+    h2, _, c2 = _layer_forward(params.w2, params.m2, h1, masks)
+    return h2, (c1, c2)
+
+
+def encode_blocks(params: EncoderParams, graphs):
+    """Encode a sequence of graphs sharing a node count, one visit block
+    at a time. Yields (slice of graphs, node embeddings (B,V,r), caches)
+    per block, in order; each cache is the tuple of arrays `_layer_forward`
+    documents, its attention at index 2. No graph array is written."""
+    if not len(graphs):
+        raise ValueError("no graphs given")
+    if graphs[0].attributes.shape[1] != params.d_in:
         raise ValueError(
-            f"attribute dimension {feats.shape[2]} does not match encoder input {params.d_in}"
+            f"attribute dimension {graphs[0].attributes.shape[1]} does not match "
+            f"encoder input {params.d_in}"
         )
-    h1, a1, c1 = _layer_forward(params.w1, params.m1, feats, masks)
-    h2, a2, c2 = _layer_forward(params.w2, params.m2, h1, masks)
-    pooled = h2.mean(axis=1)
-    return pooled, h2, (a1, a2), (c1, c2)
+    for sl in _block_slices(len(graphs), graphs[0].n_nodes):
+        yield sl, *_block_forward(params, graphs, sl)
 
 
-def encode_batch_vjp(params: EncoderParams, caches, d_pooled: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of sum_n <d_pooled[n], pooled[n]> with respect to all params."""
+def encode_batch(params: EncoderParams, graphs):
+    """Encode a sequence of graphs sharing a node count.
+
+    Returns (pooled (N,r), then for the last visit block only: its node
+    embeddings (B,V,r), attentions per layer (B,V,V) and caches for the
+    reverse pass). A batch of at most one block's visits is returned whole.
+    """
+    pooled = np.empty((len(graphs), params.d_out))
+    for sl, nodes, caches in encode_blocks(params, graphs):
+        nodes.mean(axis=1, out=pooled[sl])
+    return pooled, nodes, tuple(c[2] for c in caches), caches
+
+
+def _block_vjp(params: EncoderParams, caches, d_pooled: np.ndarray) -> dict[str, np.ndarray]:
+    """The reverse pass of one block, from its caches."""
     c1, c2 = caches
     n, n_nodes = c1[0].shape[:2]
-    d_h2 = np.broadcast_to(d_pooled[:, None, :] / n_nodes, (n, n_nodes, d_pooled.shape[1]))
-    d_h1, d_w2, d_m2 = _layer_backward(params.w2, params.m2, c2, d_h2)
+    r = d_pooled.shape[1]
+    d_h2 = np.broadcast_to(d_pooled[:, None, :] / n_nodes, (n, n_nodes, r))
+    d_z2, d_w2, d_m2 = _layer_backward(params.w2, params.m2, c2, d_h2)
+    d_h1 = (d_z2.reshape(n * n_nodes, r) @ params.w2.T).reshape(n, n_nodes, -1)
     _, d_w1, d_m1 = _layer_backward(params.w1, params.m1, c1, d_h1)
     return {"w1": d_w1, "m1": d_m1, "w2": d_w2, "m2": d_m2}
+
+
+def encode_batch_vjp(
+    params: EncoderParams, graphs, caches, d_pooled: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Gradients of sum_n <d_pooled[n], pooled[n]> with respect to all params.
+
+    `caches` are encode_batch's for the same params and graphs; they serve
+    the last block. The other blocks are walked from last to first, each
+    forward recomputed just before its reverse pass (gradient
+    checkpointing), so besides the kept caches one block's are held at a
+    time. The weight gradients are summed over the blocks.
+    """
+    *rest, last = _block_slices(len(graphs), graphs[0].n_nodes)
+    if caches[0][0].shape[0] != last.stop - last.start:
+        raise ValueError(
+            f"caches hold {caches[0][0].shape[0]} visits, the last block {last.stop - last.start}"
+        )
+    grads = _block_vjp(params, caches, d_pooled[last])
+    for sl in reversed(rest):
+        _, block_caches = _block_forward(params, graphs, sl)
+        for name, grad in _block_vjp(params, block_caches, d_pooled[sl]).items():
+            grads[name] += grad
+    return grads
 
 
 def gat_layer(
@@ -268,9 +338,7 @@ def gat_layer(
 
 def encode_graph(params: EncoderParams, graph: ConnectivityGraph) -> GraphEmbedding:
     """Two attention layers then mean pooling, for a single graph."""
-    pooled, nodes, attns, _ = encode_batch(
-        params, graph.attributes[None], graph.neighbor_mask()[None]
-    )
+    pooled, nodes, attns, _ = encode_batch(params, [graph])
     return GraphEmbedding(
         nodes=nodes[0], pooled=pooled[0], attentions=tuple(a[0] for a in attns)
     )
@@ -286,5 +354,5 @@ def encode_graph_vjp(
         raise ValueError(
             f"upstream gradient must have shape ({params.d_out},), got {d_pooled.shape}"
         )
-    _, _, _, caches = encode_batch(params, graph.attributes[None], graph.neighbor_mask()[None])
-    return encode_batch_vjp(params, caches, d_pooled[None])
+    _, _, _, caches = encode_batch(params, [graph])
+    return encode_batch_vjp(params, [graph], caches, d_pooled[None])

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .encoder import encode_batch
+from .encoder import encode_blocks
 from .numerics import (
     AdamState,
     MannWhitneyResult,
@@ -508,9 +508,14 @@ def interpret_components(
     for c in components:
         if not 0 <= c < d_r:
             raise ValueError(f"component {c} outside [0, {d_r})")
-    feats, masks, _, _ = _stack_records(records)
-    _, _, (a1, a2), _ = encode_batch(model.params, feats, masks)
-    mean_attention = ((a1 + a2) / 2.0).mean(axis=0)
+    graphs, _, _ = _stack_records(records)
+    # a running sum over the visit blocks, adding visit by visit in the
+    # order a mean over the whole (N,V,V) stack would
+    total = np.zeros((graphs[0].n_nodes,) * 2)
+    for _, _, (c1, c2) in encode_blocks(model.params, graphs):
+        for visit in (c1[2] + c2[2]) / 2.0:
+            total += visit
+    mean_attention = total / len(graphs)
     sym = (mean_attention + mean_attention.T) / 2.0
     u_cog = model.solution.u_cog
     u_brain = model.solution.u_brain

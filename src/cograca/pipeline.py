@@ -101,14 +101,17 @@ class TrainedModel:
 
 
 class NonFiniteLossError(RuntimeError):
-    """Raised when the objective stops being finite mid-training."""
+    """Raised when training stops being finite mid-run, at stage "embedding"
+    (the encoder's output, the final forward counting as epoch `epochs`),
+    "loss", or "Adam step" (the weights or moments a step produced).
+    `components` holds the epoch's (corr, ind, mul) loss terms once known."""
 
-    def __init__(self, epoch: int, corr: float, ind: float, mul: float):
+    def __init__(self, epoch: int, components=None, stage: str = "loss"):
         self.epoch = epoch
-        self.components = (corr, ind, mul)
-        super().__init__(
-            f"non-finite loss at epoch {epoch}: corr={corr}, ind={ind}, mul={mul}"
-        )
+        self.components = None if components is None else tuple(map(float, components))
+        terms = "" if components is None else ": corr={}, ind={}, mul={}".format(
+            *self.components)
+        super().__init__(f"non-finite {stage} at epoch {epoch}{terms}")
 
 
 def make_subject_folds(subject_ids, k: int, seed: int) -> list[np.ndarray]:
@@ -178,7 +181,9 @@ def out_of_fold(splits, per_fold, n_visits: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _stack_records(records: list[VisitRecord]):
-    """Stack a batch of visits into dense arrays, checking shape agreement."""
+    """A batch of visits as (graphs, cognition (d_cog, N), BatchIndex),
+    checking shape agreement. The graphs are the records' own; the encoder
+    stacks them one visit block at a time."""
     if not records:
         raise ValueError("no visits given")
     v = records[0].graph.n_nodes
@@ -193,13 +198,12 @@ def _stack_records(records: list[VisitRecord]):
             raise ValueError(
                 f"cognitive dim mismatch at subject {rec.subject_id!r} visit {rec.visit}"
             )
-    feats = np.stack([rec.graph.attributes for rec in records])
-    masks = np.stack([rec.graph.neighbor_mask() for rec in records])
+    graphs = [rec.graph for rec in records]
     cogs = np.stack([rec.cognition for rec in records]).T
     index = BatchIndex.from_visits(
         [rec.subject_id for rec in records], [rec.visit for rec in records]
     )
-    return feats, masks, cogs, index
+    return graphs, cogs, index
 
 
 def train_model(records: list[VisitRecord], cfg: TrainConfig) -> TrainedModel:
@@ -212,9 +216,10 @@ def train_model(records: list[VisitRecord], cfg: TrainConfig) -> TrainedModel:
     step on all encoder weights at once (they live in one flat vector; Adam
     is elementwise, so this equals one step per array). A final solve after
     the last step makes the stored solution consistent with the returned
-    weights.
+    weights. NonFiniteLossError stops a run whose embedding or loss, or
+    whose weights or Adam moments after a step, are not finite.
     """
-    feats, masks, cogs, index = _stack_records(records)
+    graphs, cogs, index = _stack_records(records)
     n = len(records)
     if n <= cfg.d_r:
         raise ValueError(
@@ -233,7 +238,7 @@ def train_model(records: list[VisitRecord], cfg: TrainConfig) -> TrainedModel:
     use_mul = cfg.lambda2 > 0.0 and has_multi
     ccfg = cfg.contrastive()
     rng = np.random.default_rng(cfg.seed)
-    params = EncoderParams.init(feats.shape[2], cfg.hidden_dim, cfg.r, rng)
+    params = EncoderParams.init(graphs[0].attributes.shape[1], cfg.hidden_dim, cfg.r, rng)
     shapes = {name: arr.shape for name, arr in params.as_dict().items()}
     flat = np.concatenate([arr.ravel() for arr in params.as_dict().values()])
     opt = AdamState.for_params(flat, lr=cfg.learning_rate)
@@ -249,11 +254,19 @@ def train_model(records: list[VisitRecord], cfg: TrainConfig) -> TrainedModel:
                 degenerate[label] = (seen | set(idx.tolist()), count + 1)
         return preprocess_views(pooled.T, cogs, stats=stats)
 
+    # no numpy float warnings: NonFiniteLossError alone reports a non-finite
+    # embedding, loss or step
+    def encode(params, epoch):
+        with np.errstate(all="ignore"):
+            pooled, _, _, caches = encode_batch(params, graphs)
+        if not np.isfinite(pooled).all():
+            raise NonFiniteLossError(epoch, stage="embedding")
+        return pooled, caches
+
     for epoch in range(cfg.epochs):
-        pooled, _, _, caches = encode_batch(params, feats, masks)
+        pooled, caches = encode(params, epoch)
         brain, cog, stats = z_score(pooled)
         solution = solve_gcca(brain, cog, cfg.d_r, cfg.ridge)
-        # no numpy float warnings: NonFiniteLossError alone reports a bad loss
         with np.errstate(all="ignore"):
             l_corr = corr_loss(solution, brain, cog)
             # z-scoring stats are treated as constants in the backward pass
@@ -266,13 +279,16 @@ def train_model(records: list[VisitRecord], cfg: TrainConfig) -> TrainedModel:
                 l_mul, g_mul = multimodal_loss(pooled, cog.features.T, index, ccfg)
                 d_pooled = d_pooled + cfg.lambda2 * g_mul
             l_total = l_corr + cfg.lambda1 * l_ind + cfg.lambda2 * l_mul
-        if not np.isfinite(l_total):
-            raise NonFiniteLossError(epoch, l_corr, l_ind, l_mul)
         trace[epoch] = (l_corr, l_ind, l_mul, l_total)
-        grads = encode_batch_vjp(params, caches, d_pooled)
-        flat, opt = adam_step(opt, flat, np.concatenate([grads[k].ravel() for k in shapes]))
+        if not np.isfinite(l_total):
+            raise NonFiniteLossError(epoch, trace[epoch, :3])
+        with np.errstate(all="ignore"):
+            grads = encode_batch_vjp(params, graphs, caches, d_pooled)
+            flat, opt = adam_step(opt, flat, np.concatenate([grads[k].ravel() for k in shapes]))
+        if not all(np.isfinite(a).all() for a in (flat, opt.m, opt.v)):
+            raise NonFiniteLossError(epoch, trace[epoch, :3], stage="Adam step")
         params = EncoderParams(**_unflatten(flat, shapes))
-    pooled, _, _, _ = encode_batch(params, feats, masks)
+    pooled, _ = encode(params, cfg.epochs)
     brain, cog, stats = z_score(pooled)
     solution = solve_gcca(brain, cog, cfg.d_r, cfg.ridge)
     for label, (seen, count) in degenerate.items():
@@ -315,8 +331,8 @@ def compute_fingerprints(
                 Fingerprint(values=model.solution.r[:, positions[key]], tag="train-shared")
             )
         return out
-    feats, masks, cogs, _ = _stack_records(records)
-    pooled, _, _, _ = encode_batch(model.params, feats, masks)
+    graphs, cogs, _ = _stack_records(records)
+    pooled, _, _, _ = encode_batch(model.params, graphs)
     brain, cog, _ = preprocess_views(pooled.T, cogs, stats=model.stats)
     return [
         project_fingerprint(

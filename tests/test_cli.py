@@ -241,17 +241,34 @@ class TestConfigFlags:
         assert list(out.iterdir()) == []
 
     def test_nonfinite_loss_is_one_stderr_line(self, workspace, tmp_path):
-        # a fresh interpreter, outside pytest's warning capture, with numpy's
-        # RuntimeWarnings turned into errors
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "cograca", *TRAIN_ARGS,
-             "--temperature", "1e-320", "--data", str(workspace / "data"),
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), check=False,
-        )
+        proc = _train_warnings_as_errors(workspace, tmp_path, "--temperature", "1e-320")
         assert proc.returncode == 5
         assert proc.stderr.startswith("cograca: error[5]: non-finite loss at epoch 0")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--learning-rate", "1e308"),  # the step overflows the weights
+        ("--temperature", "1e-300"),  # a finite loss whose gradient overflows the moments
+    ])
+    def test_nonfinite_adam_step_exit_5(self, workspace, tmp_path, capsys, flag, value):
+        argv = TRAIN_ARGS + [flag, value, "--data", str(workspace / "data")]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 5
+        assert capsys.readouterr().err.startswith(
+            "cograca: error[5]: non-finite Adam step at epoch 0: corr=")
+        proc = _train_warnings_as_errors(workspace, tmp_path, flag, value)
+        assert proc.returncode == 5
+        assert proc.stderr.startswith("cograca: error[5]: non-finite Adam step at epoch 0")
+        assert proc.stderr.count("\n") == 1
+
+
+def _train_warnings_as_errors(workspace, tmp_path, *flags):
+    """`cograca train` on the workspace cohort in a fresh interpreter, outside
+    pytest's warning capture, with numpy's RuntimeWarnings turned into errors."""
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cograca", *TRAIN_ARGS, *flags,
+         "--data", str(workspace / "data"), "--out", str(tmp_path / "warned")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), check=False,
+    )
 
 
 class TestFingerprint:

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cograca.data import SyntheticConfig, generate_synthetic
 from cograca.encoder import (
     ConnectivityGraph,
     EncoderParams,
+    _block_slices,
     _layer_backward,
     _layer_forward,
     build_graph,
@@ -15,6 +17,8 @@ from cograca.encoder import (
     encode_graph_vjp,
     gat_layer,
 )
+from cograca.evaluation import interpret_components
+from cograca.pipeline import TrainConfig, train_model
 
 from conftest import finite_difference, random_connectivity, relative_error
 
@@ -139,9 +143,7 @@ class TestForward:
     def test_batch_matches_single(self, rng):
         graphs = [build_graph(random_connectivity(rng, 8)) for _ in range(4)]
         params = EncoderParams.init(8, hidden=6, out=5, rng=rng)
-        feats = np.stack([g.attributes for g in graphs])
-        masks = np.stack([g.neighbor_mask() for g in graphs])
-        pooled, nodes, (a1, a2), _ = encode_batch(params, feats, masks)
+        pooled, nodes, (a1, a2), _ = encode_batch(params, graphs)
         for i, g in enumerate(graphs):
             emb = encode_graph(params, g)
             assert np.allclose(pooled[i], emb.pooled)
@@ -208,10 +210,8 @@ class TestVjp:
         graphs = [build_graph(random_connectivity(rng, 5)) for _ in range(3)]
         params = EncoderParams.init(5, hidden=4, out=3, rng=rng)
         d_pooled = rng.standard_normal((3, 3))
-        feats = np.stack([g.attributes for g in graphs])
-        masks = np.stack([g.neighbor_mask() for g in graphs])
-        _, _, _, caches = encode_batch(params, feats, masks)
-        batch_grads = encode_batch_vjp(params, caches, d_pooled)
+        _, _, _, caches = encode_batch(params, graphs)
+        batch_grads = encode_batch_vjp(params, graphs, caches, d_pooled)
         for name in ("w1", "m1", "w2", "m2"):
             total = sum(
                 encode_graph_vjp(params, g, d_pooled[i])[name]
@@ -295,8 +295,7 @@ def _einsum_layer_backward(w, m, cache, d_h_out):
         [np.einsum("nv,nvh->h", d_s, z), np.einsum("nv,nvh->h", d_t, z)]
     )
     d_w = np.einsum("nvd,nvh->dh", feats, d_z)
-    d_feats = d_z @ w.T
-    return d_feats, d_w, d_m
+    return d_z, d_w, d_m
 
 
 def _dyadic(x):
@@ -320,8 +319,6 @@ def _oracle_case(seed, exact_ties, n=5, v=9, hidden=6, out=4):
         if i == 0:
             corr[0, 1:] = corr[1:, 0] = 0.0
         graphs.append(build_graph(corr))
-    feats = np.stack([g.attributes for g in graphs])
-    masks = np.stack([g.neighbor_mask() for g in graphs])
     p = EncoderParams.init(v, hidden=hidden, out=out, rng=r)
     w1, m1, w2, m2 = (x.copy() for x in (p.w1, p.m1, p.w2, p.m2))
     if exact_ties:
@@ -332,7 +329,12 @@ def _oracle_case(seed, exact_ties, n=5, v=9, hidden=6, out=4):
     w2[:, 1] = -0.5  # layer-1 outputs are nonnegative: likewise
     params = EncoderParams(w1=w1, m1=m1, w2=w2, m2=m2)
     d_pooled = r.standard_normal((n, out))
-    return params, feats, masks, d_pooled
+    return params, graphs, d_pooled
+
+
+def _stacked(graphs):
+    """The whole batch's attributes and neighbor masks, as one stack each."""
+    return np.stack([g.attributes for g in graphs]), np.stack([g.neighbor_mask() for g in graphs])
 
 
 def _close(actual, expected, rel=1e-12):
@@ -340,11 +342,27 @@ def _close(actual, expected, rel=1e-12):
     return float(np.abs(actual - expected).max()) <= rel * scale
 
 
+def _assert_inputs_never_written(params, graphs, d_pooled):
+    def inputs():
+        arrays = [*params.as_dict().values(), d_pooled]
+        arrays += [a for g in graphs for a in (g.adjacency, g.attributes)]
+        return [a.tobytes() for a in arrays]
+
+    before = inputs()
+    _, _, _, caches = encode_batch(params, graphs)
+    assert inputs() == before
+    cached = [arr.tobytes() for layer in caches for arr in layer]
+    encode_batch_vjp(params, graphs, caches, d_pooled)
+    assert [arr.tobytes() for layer in caches for arr in layer] == cached
+    assert inputs() == before
+
+
 class TestKernelOracle:
     @pytest.mark.parametrize("exact_ties", [True, False])
     @pytest.mark.parametrize("seed", range(4))
     def test_layers_match_einsum_kernels(self, seed, exact_ties):
-        params, feats, masks, d_pooled = _oracle_case(seed, exact_ties)
+        params, graphs, d_pooled = _oracle_case(seed, exact_ties)
+        feats, masks = _stacked(graphs)
         assert not masks[0, 0, 1:].any()  # the isolated node
         x = feats
         layers = [(params.w1, params.m1, 0), (params.w2, params.m2, 1)]
@@ -369,17 +387,18 @@ class TestKernelOracle:
     @pytest.mark.parametrize("exact_ties", [True, False])
     @pytest.mark.parametrize("seed", range(4))
     def test_encoder_gradients_match_einsum_kernels(self, seed, exact_ties):
-        params, feats, masks, d_pooled = _oracle_case(seed, exact_ties)
-        pooled, nodes, attns, caches = encode_batch(params, feats, masks)
-        grads = encode_batch_vjp(params, caches, d_pooled)
+        params, graphs, d_pooled = _oracle_case(seed, exact_ties)
+        feats, masks = _stacked(graphs)
+        pooled, nodes, attns, caches = encode_batch(params, graphs)
+        grads = encode_batch_vjp(params, graphs, caches, d_pooled)
         h1, a1, c1 = _einsum_layer_forward(params.w1, params.m1, feats, masks)
         h2, a2, c2 = _einsum_layer_forward(params.w2, params.m2, h1, masks)
         assert _close(pooled, h2.mean(axis=1)) and _close(nodes, h2)
         assert _close(attns[0], a1) and _close(attns[1], a2)
         v = feats.shape[1]
         d_h2 = np.repeat(d_pooled[:, None, :] / v, v, axis=1)
-        d_h1, d_w2, d_m2 = _einsum_layer_backward(params.w2, params.m2, c2, d_h2)
-        _, d_w1, d_m1 = _einsum_layer_backward(params.w1, params.m1, c1, d_h1)
+        d_z2, d_w2, d_m2 = _einsum_layer_backward(params.w2, params.m2, c2, d_h2)
+        _, d_w1, d_m1 = _einsum_layer_backward(params.w1, params.m1, c1, d_z2 @ params.w2.T)
         ref = {"w1": d_w1, "m1": d_m1, "w2": d_w2, "m2": d_m2}
         for name in ref:
             assert grads[name].shape == ref[name].shape
@@ -387,19 +406,113 @@ class TestKernelOracle:
         assert np.all(grads["w2"][0] == 0.0)  # fed by the dead layer-1 unit
 
     def test_inputs_are_never_written(self):
-        params, feats, masks, d_pooled = _oracle_case(0, exact_ties=False)
-        before = (feats.tobytes(), masks.tobytes(), d_pooled.tobytes())
-        _, _, _, caches = encode_batch(params, feats, masks)
-        assert (feats.tobytes(), masks.tobytes()) == before[:2]
-        cached = [arr.tobytes() for layer in caches for arr in layer]
-        encode_batch_vjp(params, caches, d_pooled)
-        assert [arr.tobytes() for layer in caches for arr in layer] == cached
-        assert (feats.tobytes(), masks.tobytes(), d_pooled.tobytes()) == before
+        params, graphs, d_pooled = _oracle_case(0, exact_ties=False)
+        _assert_inputs_never_written(params, graphs, d_pooled)
 
     def test_cache_holds_gates_as_booleans(self):
-        params, feats, masks, _ = _oracle_case(1, exact_ties=False)
-        _, _, attns, caches = encode_batch(params, feats, masks)
+        params, graphs, _ = _oracle_case(1, exact_ties=False)
+        _, masks = _stacked(graphs)
+        _, _, attns, caches = encode_batch(params, graphs)
         for attn, (x, z, cached_attn, score_gate, out_gate) in zip(attns, caches):
             assert cached_attn is attn
             assert score_gate.dtype == bool and out_gate.dtype == bool
             assert not score_gate[~masks].any()
+
+
+# ---- visit blocks: at 100 nodes a block is 13 visits, so the 30-visit
+# batch below is blocks of 13, 13 and 4, and a 2-epoch training run on the
+# 100-ROI cohort spans several blocks too
+
+def _cache_bytes(caches):
+    return sum({id(a): a.nbytes for layer in caches for a in layer}.values())
+
+
+class TestVisitBlocks:
+    @pytest.fixture(scope="class")
+    def case(self):
+        r = np.random.default_rng(11)
+        graphs = [build_graph(random_connectivity(r, 100)) for _ in range(30)]
+        params = EncoderParams.init(100, hidden=5, out=3, rng=r)
+        return params, graphs, r.standard_normal((30, 3))
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        cohort = SyntheticConfig(subjects=24, rois=100, d_cog=6, latent_dim=3, seed=3)
+        records = generate_synthetic(cohort)[0]
+        cfg = TrainConfig(epochs=2, hidden_dim=8, r=6, d_r=4, seed=1)
+        return records, cfg, train_model(records, cfg)
+
+    def test_blocks_are_about_one_mebibyte_of_attention(self, case):
+        _, graphs, _ = case
+        assert [sl.stop - sl.start for sl in _block_slices(len(graphs), 100)] == [13, 13, 4]
+        assert _block_slices(300, 24)[0] == slice(0, 227)
+
+    def test_pooled_bit_identical_to_whole_batch_oracle(self, case):
+        params, graphs, _ = case
+        feats, masks = _stacked(graphs)
+        h1, a1, _ = _einsum_layer_forward(params.w1, params.m1, feats, masks)
+        h2, a2, _ = _einsum_layer_forward(params.w2, params.m2, h1, masks)
+        pooled, nodes, attns, _ = encode_batch(params, graphs)
+        assert np.array_equal(pooled, h2.mean(axis=1))
+        # the rest describes the last block, visits 26 to 29
+        assert np.array_equal(nodes, h2[26:])
+        assert np.array_equal(attns[0], a1[26:]) and np.array_equal(attns[1], a2[26:])
+
+    def test_gradients_sum_per_graph_gradients(self, case):
+        params, graphs, d_pooled = case
+        _, _, _, caches = encode_batch(params, graphs)
+        grads = encode_batch_vjp(params, graphs, caches, d_pooled)
+        for name in ("w1", "m1", "w2", "m2"):
+            total = sum(encode_graph_vjp(params, g, d_pooled[i])[name]
+                        for i, g in enumerate(graphs))
+            assert _close(grads[name], total), name
+
+    def test_gradients_match_finite_differences(self, case):
+        params, graphs, d_pooled = case
+        _, _, _, caches = encode_batch(params, graphs)
+        grads = encode_batch_vjp(params, graphs, caches, d_pooled)
+        # every entry but w1's, of which the first 8 input rows (40 of 500)
+        for name, rows in (("w1", 8), ("m1", None), ("w2", None), ("m2", None)):
+            def scalar(head, _name=name):
+                arr = params.as_dict()[_name].copy()
+                arr[:len(head)] = head
+                pooled = encode_batch(EncoderParams(**{**params.as_dict(), _name: arr}),
+                                      graphs)[0]
+                return float((d_pooled * pooled).sum())
+
+            fd = finite_difference(scalar, params.as_dict()[name][:rows].copy())
+            assert relative_error(grads[name][:rows], fd) < 1e-4, name
+
+    def test_held_cache_is_at_most_one_block(self, case):
+        params, graphs, _ = case
+        _, _, _, caches = encode_batch(params, graphs)
+        assert caches[0][0].shape[0] == 4
+        _, _, _, one_block = encode_batch(params, graphs[:13])
+        assert _cache_bytes(caches) <= _cache_bytes(one_block)
+
+    def test_cache_of_another_batch_rejected(self, case):
+        params, graphs, d_pooled = case
+        _, _, _, caches = encode_batch(params, graphs[:13])
+        with pytest.raises(ValueError, match="last block"):
+            encode_batch_vjp(params, graphs, caches, d_pooled)
+
+    def test_inputs_are_never_written(self, case):
+        _assert_inputs_never_written(*case)
+
+    def test_interpretation_mean_attention_is_whole_batch_mean(self, trained):
+        records, _, model = trained
+        assert len(records) >= 30
+        feats, masks = _stacked([rec.graph for rec in records])
+        p = model.params
+        h1, a1, _ = _einsum_layer_forward(p.w1, p.m1, feats, masks)
+        _, a2, _ = _einsum_layer_forward(p.w2, p.m2, h1, masks)
+        tables = interpret_components(model, records, [0])
+        assert np.array_equal(tables.mean_attention, ((a1 + a2) / 2.0).mean(axis=0))
+
+    def test_training_reruns_byte_identically(self, trained):
+        records, cfg, model = trained
+        again = train_model(records, cfg)
+        for name, arr in model.params.as_dict().items():
+            assert arr.tobytes() == again.params.as_dict()[name].tobytes(), name
+        assert model.loss_trace.tobytes() == again.loss_trace.tobytes()
+        assert model.solution.r.tobytes() == again.solution.r.tobytes()
