@@ -60,6 +60,27 @@ class LinearReducer:
         return np.asarray(reduced, dtype=np.float64) @ self.components + self.mean
 
 
+@dataclass(frozen=True)
+class _Centered:
+    """Samples x features rows already centred, in place, and the mean taken
+    off them: `baseline_pipeline` hands a fold's training rows to the fits
+    this way, so no fit copies them."""
+
+    rows: np.ndarray
+    mean: np.ndarray
+
+
+def _centered(data) -> tuple[np.ndarray, np.ndarray]:
+    """(centered rows, column mean) of a fit's 2-D input."""
+    if isinstance(data, _Centered):
+        return data.rows, data.mean
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2 or data.shape[0] < 2:
+        raise ValueError("need a 2-D samples x features array with at least two samples")
+    mean = data.mean(axis=0)
+    return data - mean, mean
+
+
 def pca_fit(
     data: np.ndarray,
     variance_threshold: float = 0.95,
@@ -68,22 +89,20 @@ def pca_fit(
     """PCA on samples x features data.
 
     Keeps n_components axes when given, otherwise the smallest count whose
-    cumulative explained-variance ratio reaches the threshold. The spectrum
-    and axes come from `gram_svd` of the centered data (the Gram matrix on
-    its smaller side), so the axes carry `sym_eig`'s sign convention.
+    cumulative explained-variance ratio reaches the threshold. The axes come
+    from `gram_svd` of the centered data (the Gram matrix on its smaller
+    side), so they carry `sym_eig`'s sign convention; the ratios divide each
+    axis's variance by the total, ||centered||_F^2, which holds whether
+    `gram_svd` returns the whole spectrum or only the requested top.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] < 2:
-        raise ValueError("need a 2-D array with at least two samples")
+    centered, mean = _centered(data)
     if not 0.0 < variance_threshold <= 1.0:
         raise ValueError(f"variance threshold must lie in (0, 1], got {variance_threshold}")
-    mean = data.mean(axis=0)
-    centered = data - mean
     rank_max = min(centered.shape)
     if n_components is not None and not 1 <= n_components <= rank_max:
         raise ValueError(f"component count {n_components} outside [1, {rank_max}]")
     svals, vt = gram_svd(centered, n_components or rank_max)
-    total = float((svals**2).sum())
+    total = float(np.einsum("ij,ij->", centered, centered))
     if total <= 0.0:
         raise ValueError("data has zero variance; nothing to reduce")
     ratios = svals**2 / total
@@ -95,6 +114,9 @@ def pca_fit(
         components=vt[:n_components],
         explained_variance_ratio=ratios[:n_components],
     )
+
+
+_ORBIT_TOL = 1e-14  # max |w_t - w_{t-2}| read as a period-2 orbit of the update
 
 
 def _sym_decorrelate(w: np.ndarray) -> np.ndarray:
@@ -121,17 +143,18 @@ def ica_fit(
     directions whose Gram eigenvalue exceeds 1e-10 of the largest (a
     singular value above 1e-5 of the largest): a null direction's Gram
     eigenvalue reads up to about max(n, d) * eps of the largest, not 0.
+
+    The symmetric update can lock into a period-2 orbit, w_t = w_{t-2} to
+    rounding while the drift stays above tol. The fit then stops early,
+    unconverged, with the orbit's iterate of max_iter's parity, which is
+    what iterating to the cap would return.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise ValueError("need a 2-D samples x features array")
-    n, d = data.shape
+    centered, mean = _centered(data)
+    n, d = centered.shape
     if n <= n_components:
         raise ValueError(f"need more samples than components: {n} <= {n_components}")
     if n_components > d:
         raise ValueError(f"cannot extract {n_components} components from {d} features")
-    mean = data.mean(axis=0)
-    centered = data - mean
     svals, vt = gram_svd(centered, n_components)
     if svals[n_components - 1] ** 2 <= 1e-10 * svals[0] ** 2:
         raise ValueError("data rank is below the requested component count")
@@ -140,18 +163,27 @@ def ica_fit(
     white = centered @ k.T
     rng = np.random.default_rng(seed)
     w = _sym_decorrelate(rng.normal(size=(n_components, n_components)))
+    before = w
     converged = False
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         projected = white @ w.T
         g = np.tanh(projected)
         g_prime = 1.0 - g**2
         w_new = _sym_decorrelate(g.T @ white / n - g_prime.mean(axis=0)[:, None] * w)
         drift = float(np.abs(np.abs(np.einsum("ij,ij->i", w_new, w)) - 1.0).max())
-        w = w_new
         if drift < tol:
-            converged = True
+            w, converged = w_new, True
             break
-    if not converged:
+        if np.abs(w_new - before).max() <= _ORBIT_TOL:
+            # iterating on alternates w and w_new; max_iter ends on w_new if max_iter - it is even
+            w = w if (max_iter - it) % 2 else w_new
+            warnings.warn(
+                f"FastICA did not converge: the update entered a period-2 orbit at "
+                f"iteration {it} of {max_iter} (drift {drift:.3g}); stopped there"
+            )
+            break
+        before, w = w, w_new
+    else:
         warnings.warn(f"FastICA did not converge within {max_iter} iterations")
     unmixing = w @ k
     sources = centered @ unmixing.T
@@ -286,42 +318,57 @@ def baseline_pipeline(
     count."""
     if kind not in BASELINE_KINDS:
         raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {kind!r}")
-    feats = np.stack([vectorize_connectivity(r.graph.adjacency) for r in records])
     cogs = np.stack([r.cognition for r in records])
     splits = fold_splits(folds, len(records))
-    reducers: list[LinearReducer | None] = [None] * len(splits)
+    # per fold: the fitted reducer, and the training and test visits through it
+    fits: list[tuple | None] = [None] * len(splits)
     if kind != "cognition-only":
         # one non-convergence warning for the whole call, not one per fold
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message="FastICA did not converge")
-            reducers = [
-                pca_fit(feats[s.train_indices], variance_threshold) if kind == "pca-cca"
-                else ica_fit(feats[s.train_indices], n_components,
-                             seed=_derive_seed(seed, s.fold))
-                for s in splits
-            ]
-        stalled = sum(not red.converged for red in reducers)
+            for k, s in enumerate(splits):
+                # one fold's training rows at a time, centred in place for the fit
+                rows = _edge_rows(records, s.train_indices)
+                mean = rows.mean(axis=0)
+                rows -= mean
+                red = (pca_fit(_Centered(rows, mean), variance_threshold) if kind == "pca-cca"
+                       else ica_fit(_Centered(rows, mean), n_components,
+                                    seed=_derive_seed(seed, s.fold)))
+                fits[k] = (red, rows @ red.components.T,
+                           red.transform(_edge_rows(records, s.test_indices)))
+        stalled = sum(not red.converged for red, _, _ in fits)
         if stalled:
             warnings.warn(
                 f"FastICA did not converge in {stalled} of {len(splits)} folds; "
                 "those folds keep the last iterate"
             )
         # composed *-cca kinds: keep a representation width all folds can produce
-        n_pairs = min(cogs.shape[1], min(red.components.shape[0] for red in reducers))
+        n_pairs = min(cogs.shape[1], min(red.components.shape[0] for red, _, _ in fits))
     results = []
-    for split, red in zip(splits, reducers):
+    for split, fit in zip(splits, fits):
         train, test = split.train_indices, split.test_indices
-        if red is None:  # cognition-only: z-scored with the training visits' stats
+        if fit is None:  # cognition-only: z-scored with the training visits' stats
             std = cogs[train].std(axis=0)
             reps = (cogs[test] - cogs[train].mean(axis=0)) / np.where(std < 1e-12, 1.0, std)
         elif kind == "fmri-only-ica":
-            reps = red.transform(feats[test])
+            reps = fit[2]
         else:
-            cca = classical_cca(red.transform(feats[train]), cogs[train], n_pairs=n_pairs)
-            x, y = cca.transform(red.transform(feats[test]), cogs[test])
+            _, train_reps, test_reps = fit
+            cca = classical_cca(train_reps, cogs[train], n_pairs=n_pairs)
+            x, y = cca.transform(test_reps, cogs[test])
             reps = (x + y) / 2.0
         results.append(FoldRepresentations(split.fold, train, test, reps))
     return results
+
+
+def _edge_rows(records: list[VisitRecord], indices: np.ndarray) -> np.ndarray:
+    """`vectorize_connectivity` of the indexed visits, one row each, written
+    straight into one matrix; the triangle's indices are made once."""
+    upper = np.triu_indices(records[0].graph.adjacency.shape[0], k=1)
+    rows = np.empty((len(indices), len(upper[0])))
+    for row, i in zip(rows, indices):
+        row[:] = records[i].graph.adjacency[upper]
+    return rows
 
 
 def out_of_fold_matrix(

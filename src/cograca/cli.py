@@ -11,6 +11,7 @@ guarantee). Floats are printed with repr, which round-trips exactly.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -98,6 +99,13 @@ def _add_config_flags(parser, config_type, **overrides) -> None:
             kwargs = {"type": type(f.default), "default": f.default,
                       "help": f.metadata["help"], **overrides.get(f.name, {})}
             parser.add_argument("--" + f.name.replace("_", "-"), **kwargs)
+
+
+def _default_from(fn, name: str, help: str) -> dict:
+    """add_argument keywords for a flag that takes the default of `fn`'s
+    parameter `name`, and that default's type."""
+    default = inspect.signature(fn).parameters[name].default
+    return {"type": type(default), "default": default, "help": help}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -265,9 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="which baseline to run")
     p_base.add_argument("--data", required=True, help="dataset directory")
     p_base.add_argument("--out", required=True, help="output run directory")
-    p_base.add_argument("--n-components", type=int, default=20, help="ICA component count")
-    p_base.add_argument("--variance-threshold", type=float, default=0.95,
-                        help="PCA explained-variance threshold")
+    p_base.add_argument("--n-components",
+                        **_default_from(baseline_pipeline, "n_components", "ICA component count"))
+    p_base.add_argument("--variance-threshold", **_default_from(
+        baseline_pipeline, "variance_threshold", "PCA explained-variance threshold"))
     p_base.add_argument("--seed", type=int, default=0, help="fold/ICA seed")
     p_base.add_argument("--folds", type=int, default=5, help="cross-validation folds")
 
@@ -299,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--representations", required=True, help="representation CSV")
     p_cls.add_argument("--data", required=True, help="dataset directory with labels.csv")
     p_cls.add_argument("--task", default="attribute", help="label column in labels.csv")
-    p_cls.add_argument("--repeats", type=int, default=10, help="MLP seed repeats")
-    p_cls.add_argument("--epochs", type=int, default=200, help="MLP epochs")
+    p_cls.add_argument("--repeats",
+                       **_default_from(cross_validated_bacc, "repeats", "MLP seed repeats"))
+    p_cls.add_argument("--epochs", **_default_from(cross_validated_bacc, "epochs", "MLP epochs"))
     p_cls.add_argument("--seed", type=int, default=0, help="base seed")
     p_cls.add_argument("--out", required=True, help="output directory")
 
@@ -315,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_att.add_argument("--representations", required=True, help="representation CSV")
     p_att.add_argument("--data", required=True, help="dataset directory with labels.csv")
     p_att.add_argument("--task", default="attribute", help="label column in labels.csv")
-    p_att.add_argument("--epochs", type=int, default=200, help="MLP epochs")
+    p_att.add_argument("--epochs", **_default_from(train_mlp, "epochs", "MLP epochs"))
     p_att.add_argument("--seed", type=int, default=0, help="MLP seed")
     p_att.add_argument("--out", required=True, help="output directory")
 

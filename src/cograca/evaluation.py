@@ -149,6 +149,7 @@ def _elu_grad(pre: np.ndarray, post: np.ndarray) -> np.ndarray:
 
 
 _KEEP = 0.5  # dropout keep probability of both hidden layers
+_MLP_EPOCHS = 200  # default of train_mlp and of the cross-validated protocol over it
 
 
 def _mlp_forward(weights, x: np.ndarray, masks=None):
@@ -172,7 +173,7 @@ def train_mlp(
     representations: np.ndarray,
     labels: np.ndarray,
     seed: int,
-    epochs: int = 200,
+    epochs: int = _MLP_EPOCHS,
     learning_rate: float = 0.001,
 ) -> MlpClassifier:
     """Full-batch cross-entropy training of the fixed 64/32 architecture.
@@ -254,7 +255,7 @@ def cross_validated_bacc(
     folds: list[np.ndarray],
     seed: int = 0,
     repeats: int = 10,
-    epochs: int = 200,
+    epochs: int = _MLP_EPOCHS,
 ) -> np.ndarray:
     """Balanced accuracy of the MLP protocol, repeated over seeds.
 

@@ -1,10 +1,12 @@
 """Deterministic numerical primitives shared by the rest of the package.
 
 Symmetric eigendecomposition with a fixed sign/order convention, the thin
-SVD that goes through it on a matrix's small Gram side, a pure functional
-Adam update, Glorot-uniform initialization, the finiteness rule for config
-values, and the three statistics used by the evaluation
-stack (Pearson correlation, 1-D Wasserstein distance, Mann-Whitney U).
+SVD that goes through it on a matrix's small Gram side (or, for a few
+directions of a large matrix, through a block Krylov space of that Gram
+matrix), a pure functional Adam update, Glorot-uniform initialization, the
+finiteness rule for config values, and the three statistics used by the
+evaluation stack (Pearson correlation, 1-D Wasserstein distance, Mann-Whitney
+U).
 """
 
 from __future__ import annotations
@@ -102,23 +104,107 @@ def sym_eig(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 
+_KRYLOV_OVERSAMPLE = 10  # extra start-block columns beyond the k wanted
+_KRYLOV_MIN_BLOCKS = 32  # small side, in block widths, from which Krylov is used
+_KRYLOV_RESIDUAL = 1e-13  # accepted ||G u - theta u||, relative to theta_0
+
+
+def _lift(lifted: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Orthonormal columns from A^T-lifted left singular vectors, under the
+    sign and degenerate-ordering contract. A lifted column's norm is its
+    singular value; QR normalises it and completes null and padding columns
+    orthogonally to the rest."""
+    vectors = np.linalg.qr(lifted)[0]
+    vectors = vectors * _lead_signs(vectors)
+    return _order_degenerate(values, vectors)[1]
+
+
+def _krylov_svd(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """`gram_svd`'s subset path: the top k eigenpairs of the Gram matrix G on
+    A's smaller side from a block Krylov space, without forming G.
+
+    With B = A (wide) or A^T (tall), G = B B^T. Blocks are stored as rows:
+    Q_j spans the j-th Krylov block and W_j = (Q_j B) B^T = Q_j G, so the
+    projected matrix Q G Q^T = W Q^T and the residuals of its Ritz pairs
+    come from kept products; B is read twice per block, and once more to
+    lift a wide A's left vectors. Each new block is orthogonalised against
+    the basis twice (project out, then QR; twice). The start block is drawn
+    from a fixed seed, so a rerun repeats the result bit for bit. Returns
+    the k Ritz values (descending) and the k x n right singular vectors once
+    every Ritz pair has ||G u - theta u|| <= 1e-13 theta_0; raises
+    LinAlgError if the basis would outgrow the small side first.
+    """
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
+    wide = a.shape[0] < a.shape[1]
+    b = a if wide else a.T
+    small, width = b.shape[0], k + _KRYLOV_OVERSAMPLE
+    blocks = small // width
+    # sized for the largest basis; a solve touches only the rows it writes
+    basis = np.empty((blocks * width, small))
+    gram_image = np.empty((blocks * width, small))
+    projected = np.empty((blocks * width, blocks * width))  # lower triangle only
+    block = np.random.default_rng(0).standard_normal((width, small))
+    block = np.linalg.qr(block.T)[0].T
+    for j in range(blocks):
+        lo, hi = j * width, (j + 1) * width
+        basis[lo:hi] = block
+        gram_image[lo:hi] = (block @ b) @ b.T
+        projected[lo:hi, :hi] = gram_image[lo:hi] @ basis[:hi].T
+        theta, u = np.linalg.eigh(projected[:hi, :hi], UPLO="L")
+        theta, u = theta[::-1][:k], u[:, ::-1][:, :k]
+        ritz = u.T @ basis[:hi]
+        residual = np.linalg.norm(u.T @ gram_image[:hi] - theta[:, None] * ritz, axis=1)
+        if np.all(residual <= _KRYLOV_RESIDUAL * theta[0]):
+            if wide:
+                vectors = _lift((ritz @ b).T, theta)
+            else:
+                vectors = ritz.T * _lead_signs(ritz.T)
+                _, vectors = _order_degenerate(theta, vectors)
+            return theta, vectors.T
+        block = gram_image[lo:hi]
+        for _ in range(2):
+            block = block - (block @ basis[:hi].T) @ basis[:hi]
+            block = np.linalg.qr(block.T)[0].T
+    raise np.linalg.LinAlgError(
+        f"block Krylov solve for {k} singular vectors of a {a.shape[0]} x {a.shape[1]} "
+        f"matrix did not converge in {blocks} blocks: max residual "
+        f"{residual.max() / theta[0]:.2e} of the largest eigenvalue"
+    )
+
+
 def gram_svd(a: np.ndarray, k: int, eig=sym_eig) -> tuple[np.ndarray, np.ndarray]:
     """Singular values and top-k right singular vectors of A (m x n), from
-    `eig` of the Gram matrix on A's smaller side.
+    the Gram matrix on A's smaller side.
 
-    With n <= m that is A^T A (n x n), whose eigenvectors are the right
-    singular vectors. Otherwise it is A A^T (m x m): its eigenvectors are the
-    left singular vectors, lifted by A^T and orthonormalised by QR. The cost
-    is one Gram product and one min(m, n)-sized eigendecomposition, not an
-    m x n factorisation. `eig` is `sym_eig`; a caller passes the name it
-    resolves in its own module, so a wrapper installed there sees the solve.
+    Gram path: with n <= m the Gram matrix is A^T A (n x n), whose
+    eigenvectors are the right singular vectors. Otherwise it is A A^T
+    (m x m): its eigenvectors are the left singular vectors, lifted by A^T
+    and orthonormalised by QR. The cost is one Gram product and one
+    min(m, n)-sized eigendecomposition by `eig`, not an m x n factorisation.
+    `eig` is `sym_eig`; a caller passes the name it resolves in its own
+    module, so a wrapper installed there sees the solve.
 
-    Returns (svals, vt): the min(m, n) singular values, descending (Gram
-    eigenvalues clipped at 0 before the root), and the k x n top right
-    singular vectors as orthonormal rows under `sym_eig`'s sign and
-    ordering contract. The Gram form resolves a singular value only down to
-    about sqrt(max(m, n) * eps) * s_0; rows at or below that floor (and any
-    beyond m) are an orthonormal completion, which lies in A's null space.
+    Subset path: when the smaller side is at least 32 block widths of
+    k + 10 columns, the top k eigenpairs come instead from a block Krylov
+    space of that Gram matrix, which is never formed (Halko, Martinsson &
+    Tropp 2011, arXiv:0909.4061; Musco & Musco 2015, arXiv:1504.05477). A
+    solve on a decaying spectrum takes 10 to 15 blocks, each reading A
+    twice; from that size on this takes less time than the Gram product and
+    its eigensolver, and far less memory. It returns once every top-k Ritz
+    pair has ||G u - theta u|| <= 1e-13 theta_0 and raises numpy's
+    LinAlgError if the basis would outgrow the smaller side first, so no
+    unchecked result comes back. The choice depends on the shape and k
+    alone; `eig` is not called.
+
+    Returns (svals, vt): the singular values, descending (Gram eigenvalues
+    clipped at 0 before the root), and the k x n top right singular vectors
+    as orthonormal rows under `sym_eig`'s sign and ordering contract. The
+    Gram path returns all min(m, n) singular values, the subset path only
+    the top k; a caller that needs the total takes it from ||A||_F^2. Either
+    form resolves a singular value only down to about
+    sqrt(max(m, n) * eps) * s_0; rows at or below that floor (and any beyond
+    m) are an orthonormal completion, which lies in A's null space.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -126,6 +212,9 @@ def gram_svd(a: np.ndarray, k: int, eig=sym_eig) -> tuple[np.ndarray, np.ndarray
     m, n = a.shape
     if not 1 <= k <= n:
         raise ValueError(f"requested {k} right singular vectors of a {m} x {n} matrix")
+    if min(m, n) >= _KRYLOV_MIN_BLOCKS * (k + _KRYLOV_OVERSAMPLE):
+        theta, vt = _krylov_svd(a, k)
+        return np.sqrt(np.maximum(theta, 0.0)), vt
     if n <= m:
         dec = eig(a.T @ a)
         vectors = dec.eigenvectors[:, :k]
@@ -134,13 +223,9 @@ def gram_svd(a: np.ndarray, k: int, eig=sym_eig) -> tuple[np.ndarray, np.ndarray
         top = min(k, m)
         lifted = np.zeros((n, k))
         lifted[:, :top] = a.T @ dec.eigenvectors[:, :top]
-        # a lifted column's norm is its singular value; QR normalises it and
-        # completes null and padding columns orthogonally to the rest
-        vectors = np.linalg.qr(lifted)[0]
-        vectors = vectors * _lead_signs(vectors)
         values = np.zeros(k)
         values[:top] = dec.eigenvalues[:top]
-        _, vectors = _order_degenerate(values, vectors)
+        vectors = _lift(lifted, values)
     return np.sqrt(np.maximum(dec.eigenvalues, 0.0)), vectors.T
 
 

@@ -7,6 +7,7 @@ import pytest
 import cograca.baselines as baselines
 from cograca.baselines import (
     BASELINE_KINDS,
+    _sym_decorrelate,
     amari_index,
     baseline_pipeline,
     classical_cca,
@@ -16,7 +17,7 @@ from cograca.baselines import (
     vectorize_connectivity,
 )
 from cograca.data import SyntheticConfig, generate_synthetic
-from cograca.numerics import _lead_signs
+from cograca.numerics import _derive_seed, _lead_signs, gram_svd
 from cograca.pipeline import make_subject_folds
 
 from conftest import NON_PARTITION, damaged_folds
@@ -70,7 +71,10 @@ class TestPca:
         red = pca_fit(data, n_components=2)
         assert np.max(np.abs(red.transform(data).mean(axis=0))) < 1e-10
 
-    @pytest.mark.parametrize("shape", [(40, 8), (10, 30)], ids=["tall", "wide"])
+    # the wide 500-row case takes gram_svd's subset path, which returns only
+    # the top five singular values: the ratios must still divide by the total
+    @pytest.mark.parametrize("shape", [(40, 8), (10, 30), (500, 1500)],
+                             ids=["tall", "wide", "wide-subset"])
     def test_matches_svd_oracle(self, rng, shape):
         data = rng.standard_normal(shape) * np.linspace(1.0, 4.0, shape[1]) + 2.0
         red = pca_fit(data, n_components=5)
@@ -146,6 +150,44 @@ class TestIca:
         with pytest.raises(ValueError, match="data rank is below the requested component count"):
             ica_fit(data, n_components=5)
         assert ica_fit(data, n_components=3, seed=0).unmixing.shape == (3, 10)
+
+    def test_rank_check_holds_on_the_subset_path(self, rng):
+        # 500 x 900 whitens through gram_svd's subset path, whose Ritz values
+        # past the rank read at the same rounding floor as Gram eigenvalues
+        data = rng.laplace(size=(500, 3)) @ rng.standard_normal((3, 900))
+        with pytest.raises(ValueError, match="data rank is below the requested component count"):
+            ica_fit(data, n_components=5)
+        assert ica_fit(data, n_components=3, seed=0).unmixing.shape == (3, 900)
+
+    @staticmethod
+    def _run_to_cap(data, n_components, seed, max_iter):
+        """The unmixing after max_iter FastICA updates, with no early stop."""
+        centered = data - data.mean(axis=0)
+        n = len(centered)
+        svals, vt = gram_svd(centered, n_components)
+        k = np.sqrt(n) * (vt / svals[:n_components, None])
+        white = centered @ k.T
+        w = _sym_decorrelate(np.random.default_rng(seed).normal(size=(n_components,) * 2))
+        for _ in range(max_iter):
+            g = np.tanh(white @ w.T)
+            w = _sym_decorrelate(g.T @ white / n - (1.0 - g**2).mean(axis=0)[:, None] * w)
+        return w @ k
+
+    def test_period_two_orbit_stops_early(self):
+        # this start locks into w_t = w_{t-2} at iteration 83 and would
+        # alternate between two iterates until the cap
+        rng = np.random.default_rng(39)
+        data = rng.laplace(size=(120, 3)) @ rng.standard_normal((3, 3))
+        fits = []
+        for max_iter in (500, 501):
+            with pytest.warns(UserWarning, match="period-2 orbit at iteration 83 of"):
+                red = ica_fit(data, n_components=2, seed=0, max_iter=max_iter)
+            assert not red.converged
+            reference = self._run_to_cap(data, 2, 0, max_iter)
+            assert np.max(np.abs(red.unmixing - reference)) < 1e-12
+            fits.append(red.unmixing)
+        # the two caps end on different iterates of the orbit
+        assert np.max(np.abs(fits[0] - fits[1])) > 1e-3
 
 
 class TestAmari:
@@ -275,6 +317,26 @@ class TestBaselinePipeline:
             assert not np.array_equal(
                 other_base.test_representations, other_redo.test_representations
             )
+
+    @pytest.mark.parametrize("kind", ["fmri-only-ica", "pca-cca"])
+    def test_fold_fits_match_the_public_fits(self, cohort, kind):
+        # the pipeline centres each fold's training rows in place and hands
+        # them to the fits; that must be the fit of the stacked rows, bit for bit
+        records, folds = cohort
+        (result,) = baseline_pipeline(records, kind, folds[:1], n_components=4, seed=2)
+        feats = np.stack([vectorize_connectivity(r.graph.adjacency) for r in records])
+        train, test = feats[result.train_indices], feats[result.test_indices]
+        if kind == "fmri-only-ica":
+            red = ica_fit(train, 4, seed=_derive_seed(2, 0))
+            expect = red.transform(test)
+        else:
+            red = pca_fit(train)
+            cogs = np.stack([r.cognition for r in records])
+            width = min(cogs.shape[1], red.components.shape[0])
+            cca = classical_cca(red.transform(train), cogs[result.train_indices], width)
+            x, y = cca.transform(red.transform(test), cogs[result.test_indices])
+            expect = (x + y) / 2.0
+        assert result.test_representations.tobytes() == expect.tobytes()
 
     def test_deterministic(self, cohort):
         records, folds = cohort

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import cograca.numerics as numerics
 from cograca.contrastive import ContrastiveConfig
 from cograca.data import SyntheticConfig
 from cograca.encoder import EncoderParams
@@ -150,6 +151,82 @@ class TestGramSvd:
     def test_vector_count_checked(self, rng, k):
         with pytest.raises(ValueError, match="right singular vectors"):
             gram_svd(rng.standard_normal((20, 7)), k)
+
+
+class TestGramSvdSubset:
+    """The block Krylov path, which shapes with a small side of at least 32
+    block widths (k + 10 columns) take, against the Gram path as oracle."""
+
+    K = 2  # a block is 12 columns wide, so a 400-row matrix takes this path
+
+    @staticmethod
+    def _spectrum(svals, shape, seed=0):
+        """A shape[0] x shape[1] matrix with the given leading singular values
+        and random singular vectors; the rest of the spectrum is 0."""
+        r = np.random.default_rng(seed)
+        u = np.linalg.qr(r.standard_normal((shape[0], len(svals))))[0]
+        v = np.linalg.qr(r.standard_normal((shape[1], len(svals))))[0]
+        return (u * svals) @ v.T
+
+    @staticmethod
+    def _gram_path(monkeypatch, a, k):
+        with monkeypatch.context() as m:
+            m.setattr(numerics, "_KRYLOV_MIN_BLOCKS", 10**9)
+            return gram_svd(a, k)
+
+    def _check_against_oracle(self, monkeypatch, a, vec_tol):
+        seen = []
+        svals, vt = gram_svd(a, self.K, eig=lambda g: seen.append(g) or sym_eig(g))
+        ref_vals, ref_vt = self._gram_path(monkeypatch, a, self.K)
+        assert seen == []  # the Gram matrix is never formed
+        assert svals.shape == (self.K,)
+        assert np.max(np.abs(svals - ref_vals[: self.K])) < 1e-14 * ref_vals[0]
+        assert np.max(np.abs(vt - ref_vt)) < vec_tol
+        assert np.max(np.abs(vt @ vt.T - np.eye(self.K))) < 1e-14
+        # the package's sign convention: each row's largest entry is positive
+        assert np.all(_lead_signs(vt.T) == 1.0)
+
+    @pytest.mark.parametrize("shape", [(400, 900), (900, 400)], ids=["wide", "tall"])
+    def test_matches_gram_path(self, monkeypatch, shape):
+        a = self._spectrum(0.8 ** np.arange(60), shape)
+        self._check_against_oracle(monkeypatch, a, 1e-13)
+
+    @pytest.mark.parametrize("shape", [(400, 900), (900, 400)], ids=["wide", "tall"])
+    def test_near_degenerate_gap_at_k(self, monkeypatch, shape):
+        # s_2 / s_1 = 0.999 above a slowly decaying tail of 300: the k-th
+        # vector is set apart from the next by a 0.2% gap (15 blocks)
+        svals = np.concatenate([[3.0, 1.0, 0.999], 0.9 * 0.99 ** np.arange(300)])
+        self._check_against_oracle(monkeypatch, self._spectrum(svals, shape), 1e-12)
+
+    @pytest.mark.parametrize("shape", [(400, 900), (900, 400)], ids=["wide", "tall"])
+    def test_rank_below_k_completes_in_null_space(self, shape):
+        a = self._spectrum(np.array([2.0]), shape)
+        svals, vt = gram_svd(a, self.K)
+        assert np.max(np.abs(vt @ vt.T - np.eye(self.K))) < 1e-12
+        assert np.max(np.abs(a @ vt[1:].T)) < 1e-6 * svals[0]
+        assert svals[1] < 1e-6 * svals[0]
+
+    def test_reruns_are_byte_identical(self):
+        a = self._spectrum(0.9 ** np.arange(80), (400, 900), seed=3)
+        first = gram_svd(a, self.K)
+        again = gram_svd(a.copy(), self.K)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(first, again))
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        # an eigensolver whose Ritz values are off by 1e-9 never meets the
+        # residual bound; the solve must raise, not return its last iterate
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda m, UPLO="L": (eigh(m, UPLO)[0] * (1 + 1e-9), eigh(m, UPLO)[1])
+        )
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge in 33 blocks"):
+            gram_svd(self._spectrum(0.8 ** np.arange(60), (400, 900)), self.K)
+
+    def test_non_finite_rejected(self):
+        a = self._spectrum(0.8 ** np.arange(60), (400, 900))
+        a[3, 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            gram_svd(a, self.K)
 
 
 class TestAdam:
