@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import VisitRecord
+from .gcca import _row_stats
 from .numerics import _derive_seed, _lead_signs, gram_svd, sym_eig
 from .pipeline import FoldSplit, fold_splits, out_of_fold
 
@@ -348,8 +349,8 @@ def baseline_pipeline(
     for split, fit in zip(splits, fits):
         train, test = split.train_indices, split.test_indices
         if fit is None:  # cognition-only: z-scored with the training visits' stats
-            std = cogs[train].std(axis=0)
-            reps = (cogs[test] - cogs[train].mean(axis=0)) / np.where(std < 1e-12, 1.0, std)
+            mean, std, _ = _row_stats(cogs[train].T)
+            reps = (cogs[test] - mean) / std
         elif kind == "fmri-only-ica":
             reps = fit[2]
         else:

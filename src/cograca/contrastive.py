@@ -1,10 +1,11 @@
 """Contrastive regularizers over graph embeddings.
 
-Two losses share the temperature-scaled cosine-softmax shape: the
-individualized loss pulls together visits of the same subject against all
-other visits in the batch, and the multimodal loss pulls a visit's embedding
-toward its own cognitive vector against the subject's other visits. Both
-return exact gradients with respect to the embeddings.
+Both losses are `numerics._softmax_xent` over temperature-scaled cosine
+logits and differ in their positives and candidates: the individualized loss
+pulls together visits of the same subject against all other visits in the
+batch, and the multimodal loss pulls a visit's embedding toward its own
+cognitive vector against the subject's other visits. Both return exact
+gradients with respect to the embeddings.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import _check_finite
+from .numerics import _check_finite, _softmax_xent
 
 __all__ = [
     "BatchIndex",
@@ -89,16 +90,20 @@ class ContrastiveConfig:
             raise ValueError("loss weights must be nonnegative")
 
 
-def _unit_rows(x: np.ndarray, index: BatchIndex, what: str) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.sqrt((x * x).sum(axis=1))
-    bad = np.flatnonzero(norms < 1e-12)
+def _unit_rows(index: BatchIndex, rows: np.ndarray, *views) -> list:
+    """Rows `rows` of each (what, x) view scaled to unit length, with their
+    norms. A zero-norm row raises, naming the first one a subject-by-subject
+    pass meets: subjects in order of first visit, each one's views in turn."""
+    norms = [np.sqrt((x * x).sum(axis=1))[rows] for _, x in views]
+    view, bad = np.nonzero(np.array(norms) < 1e-12)
     if bad.size:
-        i = int(bad[0])
+        first = np.lexsort((bad, view, index.subject_codes[rows[bad]]))[0]
+        i = rows[bad[first]]
         raise ValueError(
-            f"zero-norm {what} for subject {index.subject_ids[i]!r} "
+            f"zero-norm {views[view[first]][0]} for subject {index.subject_ids[i]!r} "
             f"visit {index.visit_ids[i]}; cosine similarity undefined"
         )
-    return x / norms[:, None], norms
+    return [(x[rows] / n[:, None], n) for (_, x), n in zip(views, norms)]
 
 
 def _norm_backward(d_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -120,7 +125,7 @@ def individualized_loss(
         raise ValueError("embedding count does not match the batch index")
     if n < 2:
         raise ValueError("need at least two visits")
-    unit, norms = _unit_rows(embeddings, index, "embedding")
+    [(unit, norms)] = _unit_rows(index, np.arange(n), ("embedding", embeddings))
     codes = index.subject_codes
     positive = codes[:, None] == codes[None, :]
     np.fill_diagonal(positive, False)
@@ -128,21 +133,10 @@ def individualized_loss(
         warnings.warn("no same-subject pair in batch; individualized loss is 0")
         return 0.0, np.zeros_like(embeddings)
     tau = cfg.temperature
-    logits = (unit @ unit.T) / tau
-    np.fill_diagonal(logits, -np.inf)
-    row_max = logits.max(axis=1, keepdims=True)
-    expd = np.exp(logits - row_max)
-    z = expd.sum(axis=1, keepdims=True)
-    log_den = np.log(z) + row_max
-    counts = positive.sum(axis=1)
-    loss = -(np.where(positive, logits, 0.0).sum() - float(counts @ log_den[:, 0])) / n
-    # dL/d logits = (c_i * softmax_ik - 1[positive]) / N, zero on the diagonal
-    p = expd / z
-    g_logits = (counts[:, None] * p - positive) / n
-    np.fill_diagonal(g_logits, 0.0)
-    g_sim = g_logits / tau
-    d_unit = (g_sim + g_sim.T) @ unit
-    return float(loss), _norm_backward(d_unit, unit, norms)
+    loss, g = _softmax_xent((unit @ unit.T) / tau, positive, ~np.eye(n, dtype=bool))
+    g /= n  # the mean over anchors
+    g /= tau  # logits = sim / tau
+    return loss / n, _norm_backward((g + g.T) @ unit, unit, norms)
 
 
 def multimodal_loss(
@@ -170,45 +164,23 @@ def multimodal_loss(
             f"cognitive dim {cognition.shape[1]}"
         )
     grad = np.zeros_like(embeddings)
-    multi = index.multi_visit_subjects()
-    if not multi:
+    if not index.multi_visit_subjects():
         warnings.warn("every subject has a single visit; multimodal loss is 0")
         return 0.0, grad
-    norms_h = np.sqrt((embeddings * embeddings).sum(axis=1))
-    norms_c = np.sqrt((cognition * cognition).sum(axis=1))
-    if min(norms_h.min(), norms_c.min()) < 1e-12:
-        # report the row a subject-by-subject pass meets first: subjects in
-        # order of first visit, each one's embeddings before its cognition
-        for subject in multi:
-            for what, norms in (("embedding", norms_h), ("cognitive vector", norms_c)):
-                for i in index.groups[subject]:
-                    if norms[i] < 1e-12:
-                        raise ValueError(
-                            f"zero-norm {what} for subject {subject!r} "
-                            f"visit {index.visit_ids[i]}; cosine similarity undefined"
-                        )
     # One block-masked pass over the visits of multi-visit subjects: row i's
-    # denominator holds the cognitive vectors of its subject's visits.
+    # denominator holds the cognitive vectors of its subject's other visits.
     codes = index.subject_codes
     active = np.flatnonzero(np.bincount(codes)[codes] > 1)
-    unit_h = embeddings[active] / norms_h[active, None]
-    unit_c = cognition[active] / norms_c[active, None]
+    (unit_h, norms_h), (unit_c, _) = _unit_rows(
+        index, active, ("embedding", embeddings), ("cognitive vector", cognition))
     same = codes[active, None] == codes[None, active]
     np.fill_diagonal(same, False)
     tau = cfg.temperature
-    logits = (unit_h @ unit_c.T) / tau
-    masked = np.where(same, logits, -np.inf)
-    row_max = masked.max(axis=1, keepdims=True)
-    expd = np.exp(masked - row_max)
-    z = expd.sum(axis=1, keepdims=True)
-    log_den = np.log(z) + row_max
+    loss, g = _softmax_xent((unit_h @ unit_c.T) / tau, np.eye(len(active), dtype=bool), same)
+    g /= tau
     n_subjects = index.n_subjects
-    loss = -float(np.trace(logits) - log_den.sum()) / n_subjects
-    g_logits = expd / z
-    np.fill_diagonal(g_logits, g_logits.diagonal() - 1.0)
-    g_logits /= tau
-    grad[active] = _norm_backward(g_logits @ unit_c, unit_h, norms_h[active]) / n_subjects
-    return loss, grad
+    grad[active] = _norm_backward(g @ unit_c, unit_h, norms_h) / n_subjects
+    return loss / n_subjects, grad
 
 
 def total_loss(corr: float, ind: float, mul: float, cfg: ContrastiveConfig) -> float:

@@ -18,6 +18,7 @@ from .numerics import (
     AdamState,
     MannWhitneyResult,
     _derive_seed,
+    _softmax_xent,
     _unflatten,
     adam_step,
     glorot,
@@ -203,7 +204,8 @@ def train_mlp(
         glorot(rng, 32, 2).ravel(), np.zeros(2),
     ])
     opt = AdamState.for_params(flat, lr=learning_rate)
-    onehot = np.eye(2)[y]
+    onehot = np.eye(2, dtype=bool)[y]
+    both_classes = np.ones_like(onehot)
     for _ in range(epochs):
         weights = _unflatten(flat, shapes)
         mask1 = rng.random((n, 64)) < _KEEP
@@ -211,10 +213,8 @@ def train_mlp(
         logits, ((pre1, act1, h1), (pre2, act2, h2)) = _mlp_forward(
             weights, x, (mask1, mask2)
         )
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        expd = np.exp(shifted)
-        probs = expd / expd.sum(axis=1, keepdims=True)
-        d_logits = (probs - onehot) / n
+        _, d_logits = _softmax_xent(logits, onehot, both_classes)
+        d_logits /= n
         grads = {
             "w3": h2.T @ d_logits,
             "b3": d_logits.sum(axis=0),

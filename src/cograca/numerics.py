@@ -3,10 +3,10 @@
 Symmetric eigendecomposition with a fixed sign/order convention, the thin
 SVD that goes through it on a matrix's small Gram side (or, for a few
 directions of a large matrix, through a block Krylov space of that Gram
-matrix), a pure functional Adam update, Glorot-uniform initialization, the
-finiteness rule for config values, and the three statistics used by the
-evaluation stack (Pearson correlation, 1-D Wasserstein distance, Mann-Whitney
-U).
+matrix), the softmax cross-entropy of the contrastive and MLP losses, a pure
+functional Adam update, Glorot-uniform initialization, the finiteness rule
+for config values, and the three statistics used by the evaluation stack
+(Pearson correlation, 1-D Wasserstein distance, Mann-Whitney U).
 """
 
 from __future__ import annotations
@@ -229,6 +229,32 @@ def gram_svd(a: np.ndarray, k: int, eig=sym_eig) -> tuple[np.ndarray, np.ndarray
     return np.sqrt(np.maximum(dec.eigenvalues, 0.0)), vectors.T
 
 
+def _softmax_xent(
+    logits: np.ndarray, positive: np.ndarray, candidates: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Sum over `positive` (i, j) of -log softmax_i(j), row i's softmax taken
+    over its `candidates` (boolean masks shaped like `logits`, at least one
+    candidate a row; a positive need not be one), and its gradient wrt the
+    logits, c_i softmax_i - 1[positive] for row i's c_i positives, written
+    over `logits`."""
+    target = float(np.where(positive, logits, 0.0).sum())
+    np.copyto(logits, -np.inf, where=~candidates)
+    row_max = logits.max(axis=1, keepdims=True)
+    logits -= row_max
+    np.exp(logits, out=logits)
+    z = logits.sum(axis=1, keepdims=True)
+    counts = positive.sum(axis=1)
+    row_max += np.log(z)  # each row's log-sum-exp
+    loss = float(counts @ row_max[:, 0]) - target
+    logits /= z
+    logits *= counts[:, None]
+    logits -= positive
+    return loss, logits
+
+
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
 @dataclass(frozen=True)
 class AdamState:
     """Optimizer state for one parameter array. Immutable; `adam_step`
@@ -238,9 +264,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.step < 0:
@@ -269,11 +292,11 @@ def adam_step(
             f"optimizer state shape {state.m.shape} does not match parameters {params.shape}"
         )
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    updated = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = _BETA1 * state.m + (1.0 - _BETA1) * grads
+    v = _BETA2 * state.v + (1.0 - _BETA2) * grads**2
+    m_hat = m / (1.0 - _BETA1**t)
+    v_hat = v / (1.0 - _BETA2**t)
+    updated = params - state.lr * m_hat / (np.sqrt(v_hat) + _EPS)
     return updated, replace(state, step=t, m=m, v=v)
 
 

@@ -53,9 +53,12 @@ class TrainConfig:
     hidden_dim: int = field(default=32, metadata={"help": "encoder hidden width"})
     r: int = field(default=16, metadata={"help": "embedding dimension"})
     d_r: int = field(default=16, metadata={"help": "shared dimension"})
-    temperature: float = field(default=0.9, metadata={"help": "contrastive temperature"})
-    lambda1: float = field(default=1.5, metadata={"help": "individualized loss weight"})
-    lambda2: float = field(default=0.5, metadata={"help": "multimodal loss weight"})
+    temperature: float = field(default=ContrastiveConfig.temperature,
+                               metadata={"help": "contrastive temperature"})
+    lambda1: float = field(default=ContrastiveConfig.lambda1,
+                           metadata={"help": "individualized loss weight"})
+    lambda2: float = field(default=ContrastiveConfig.lambda2,
+                           metadata={"help": "multimodal loss weight"})
     ridge: float | None = field(
         default=None, metadata={"help": "covariance ridge: 'scaled' or a float"})
     seed: int = field(default=0, metadata={"help": "training seed"})

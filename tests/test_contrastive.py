@@ -92,6 +92,30 @@ def loop_multimodal(embeddings, cognition, index, cfg):
     return loss / index.n_subjects, grad / index.n_subjects
 
 
+def loop_individualized(embeddings, index, cfg):
+    """The loss and gradient anchor by anchor: each anchor's log-softmax over
+    the other visits, its positives the same subject's other visits, and the
+    logit gradient sent to both ends of every similarity; the per-row oracle
+    of the kernel's gradient."""
+    norms = np.linalg.norm(embeddings, axis=1)
+    u = embeddings / norms[:, None]
+    n, tau = len(u), cfg.temperature
+    d_unit = np.zeros_like(u)
+    loss = 0.0
+    for i in range(n):
+        others = np.array([k for k in range(n) if k != i])
+        positive = np.array([index.subject_ids[k] == index.subject_ids[i] for k in others])
+        logits = u[others] @ u[i] / tau
+        log_p = logits - logits.max()
+        log_p -= math.log(np.exp(log_p).sum())
+        loss -= log_p[positive].sum()
+        g_logits = (positive.sum() * np.exp(log_p) - positive) / (n * tau)
+        d_unit[i] += g_logits @ u[others]
+        d_unit[others] += g_logits[:, None] * u[i]
+    grad = (d_unit - (d_unit * u).sum(axis=1, keepdims=True) * u) / norms[:, None]
+    return loss / n, grad
+
+
 # multi-visit subjects a, b, c interleaved with single-visit d, e, visit
 # numbers out of order
 INTERLEAVED = (("c", 3), ("a", 2), ("d", 1), ("b", 1), ("a", 1), ("c", 1), ("e", 4),
@@ -218,6 +242,17 @@ class TestIndividualized:
         _, grad = individualized_loss(emb, index, cfg)
         assert intra_sim(emb - 1e-2 * grad) > intra_sim(emb)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_anchor_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        index = BatchIndex.from_visits(*zip(*INTERLEAVED))
+        emb = rng.standard_normal((index.n_visits, 5))
+        cfg = ContrastiveConfig(temperature=0.7)
+        loss, grad = individualized_loss(emb, index, cfg)
+        ref_loss, ref_grad = loop_individualized(emb, index, cfg)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
     def test_zero_norm_rejected(self, rng):
         emb, _, index = make_batch(rng)
         emb[1] = 0.0
@@ -325,6 +360,21 @@ class TestMultimodal:
         with pytest.raises(ValueError, match="zero-norm") as got:
             multimodal_loss(views["emb"], views["cog"], index, ContrastiveConfig())
         assert str(got.value) == str(expected.value)
+
+
+def test_reruns_are_byte_identical():
+    # a batch large enough for the N x N products to run threaded BLAS
+    rng = np.random.default_rng(3)
+    subjects = rng.integers(0, 120, 400)
+    index = BatchIndex.from_visits(subjects, np.arange(400))
+    emb = rng.standard_normal((400, 16))
+    cogs = rng.standard_normal((400, 16))
+    cfg = ContrastiveConfig()
+    for run in (lambda: individualized_loss(emb, index, cfg),
+                lambda: multimodal_loss(emb, cogs, index, cfg)):
+        (loss, grad), (loss_again, grad_again) = run(), run()
+        assert loss == loss_again
+        assert grad.tobytes() == grad_again.tobytes()
 
 
 class TestTotalLoss:

@@ -118,6 +118,14 @@ class TestMlp:
         assert np.array_equal(a.w1, b.w1)
         assert np.array_equal(a.b3, b.b3)
 
+    def test_rerun_is_byte_identical(self, rng):
+        # every weight array, on a batch large enough for threaded GEMMs
+        x, y = blobs(rng, n_per=150, d=16)
+        a = train_mlp(x, y, seed=5, epochs=20)
+        b = train_mlp(x, y, seed=5, epochs=20)
+        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
     def test_seed_changes_weights(self, rng):
         x, y = blobs(rng, n_per=20)
         a = train_mlp(x, y, seed=5, epochs=30)

@@ -15,6 +15,7 @@ from cograca.encoder import EncoderParams
 from cograca.numerics import (
     AdamState,
     _lead_signs,
+    _softmax_xent,
     adam_step,
     glorot,
     gram_svd,
@@ -270,6 +271,52 @@ class TestAdam:
         state = AdamState.for_params(params, lr=0.01)
         with pytest.raises(ValueError):
             adam_step(state, params, np.ones(3))
+
+
+def loop_softmax_xent(logits, positive, candidates):
+    """Per-row log-softmax over the row's candidates, one positive at a
+    time: the oracle of the in-place kernel."""
+    loss, grad = 0.0, np.zeros_like(logits)
+    for i in range(len(logits)):
+        cand = np.flatnonzero(candidates[i])
+        log_den = math.log(sum(math.exp(logits[i, k]) for k in cand))
+        for j in np.flatnonzero(positive[i]):
+            loss -= logits[i, j] - log_den
+            grad[i, cand] += [math.exp(logits[i, k] - log_den) for k in cand]
+            grad[i, j] -= 1.0
+    return loss, grad
+
+
+def _xent_case(rng, kind):
+    """(logits, positive, candidates) shaped like one caller's."""
+    if kind == "mlp":  # every entry a candidate, one-hot positives
+        positive = np.eye(2, dtype=bool)[rng.integers(0, 2, 30)]
+        return 3.0 * rng.standard_normal((30, 2)), positive, np.ones_like(positive)
+    groups = rng.integers(0, 5, 24)
+    groups[0] = 5  # a group of one: a row without positives
+    same = groups[:, None] == groups[None, :]
+    np.fill_diagonal(same, False)
+    if kind == "individualized":  # off-diagonal candidates, same-group positives
+        candidates = ~np.eye(24, dtype=bool)
+        positive = same
+    else:  # multimodal: the positive on the diagonal, outside the group's candidates
+        keep = np.flatnonzero(same.any(axis=1))
+        candidates = same[np.ix_(keep, keep)]
+        positive = np.eye(len(keep), dtype=bool)
+    return 3.0 * rng.standard_normal(positive.shape), positive, candidates
+
+
+class TestSoftmaxXent:
+    @pytest.mark.parametrize("kind", ["individualized", "multimodal", "mlp"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_row_loop(self, kind, seed):
+        logits, positive, candidates = _xent_case(np.random.default_rng(seed), kind)
+        ref_loss, ref_grad = loop_softmax_xent(logits, positive, candidates)
+        buf = logits.copy()
+        loss, grad = _softmax_xent(buf, positive, candidates)
+        assert grad is buf
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
 
 
 class TestGlorot:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cograca.pipeline
+from cograca.contrastive import ContrastiveConfig
 from cograca.data import SyntheticConfig, generate_synthetic
 from cograca.pipeline import (
     NonFiniteLossError,
@@ -46,6 +47,9 @@ class TestTrainConfig:
         assert cfg.temperature == 0.9
         assert (cfg.lambda1, cfg.lambda2) == (1.5, 0.5)
         assert cfg.folds == 5
+
+    def test_contrastive_defaults_come_from_contrastive_config(self):
+        assert TrainConfig().contrastive() == ContrastiveConfig()
 
     def test_validation(self):
         for bad in (
