@@ -48,6 +48,7 @@ from .numerics import (
     wasserstein_1d,
 )
 from .pipeline import (
+    DeadVisitError,
     NonFiniteLossError,
     TrainConfig,
     TrainedModel,
@@ -62,6 +63,7 @@ __all__ = [
     "BatchIndex",
     "ConnectivityGraph",
     "ContrastiveConfig",
+    "DeadVisitError",
     "EigenDecomposition",
     "EncoderParams",
     "Fingerprint",

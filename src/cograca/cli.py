@@ -45,6 +45,7 @@ from .evaluation import (
     train_mlp,
 )
 from .pipeline import (
+    DeadVisitError,
     FoldSplit,
     NonFiniteLossError,
     TrainConfig,
@@ -63,7 +64,7 @@ exit codes:
   2  usage error (bad flags or arguments)
   3  missing input file or directory
   4  validation error in inputs or configuration
-  5  non-finite numeric result during optimization
+  5  non-finite numeric result or dead visit embedding during optimization
 
 environment:
   COGRACA_SEED  integer; overrides --seed for any subcommand that accepts one
@@ -655,7 +656,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         _error(3, exc)
         return 3
-    except NonFiniteLossError as exc:
+    except (NonFiniteLossError, DeadVisitError) as exc:
         _error(5, exc)
         return 5
     except (DataValidationError, ValueError) as exc:

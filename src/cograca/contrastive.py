@@ -21,6 +21,7 @@ from .numerics import _check_finite, _softmax_xent
 __all__ = [
     "BatchIndex",
     "ContrastiveConfig",
+    "ZeroNormError",
     "individualized_loss",
     "multimodal_loss",
     "total_loss",
@@ -90,6 +91,16 @@ class ContrastiveConfig:
             raise ValueError("loss weights must be nonnegative")
 
 
+class ZeroNormError(ValueError):
+    """A row of a view has zero norm, so its cosine similarity is undefined;
+    `what` names the view and (`subject`, `visit`) the row's visit."""
+
+    def __init__(self, what: str, subject: str, visit: int):
+        self.what, self.subject, self.visit = what, subject, visit
+        super().__init__(f"zero-norm {what} for subject {subject!r} visit {visit}; "
+                         "cosine similarity undefined")
+
+
 def _unit_rows(index: BatchIndex, rows: np.ndarray, *views) -> list:
     """Rows `rows` of each (what, x) view scaled to unit length, with their
     norms. A zero-norm row raises, naming the first one a subject-by-subject
@@ -99,10 +110,7 @@ def _unit_rows(index: BatchIndex, rows: np.ndarray, *views) -> list:
     if bad.size:
         first = np.lexsort((bad, view, index.subject_codes[rows[bad]]))[0]
         i = rows[bad[first]]
-        raise ValueError(
-            f"zero-norm {views[view[first]][0]} for subject {index.subject_ids[i]!r} "
-            f"visit {index.visit_ids[i]}; cosine similarity undefined"
-        )
+        raise ZeroNormError(views[view[first]][0], index.subject_ids[i], index.visit_ids[i])
     return [(x[rows] / n[:, None], n) for (_, x), n in zip(views, norms)]
 
 

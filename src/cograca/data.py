@@ -311,8 +311,10 @@ class GroundTruth:
     planted_edge: tuple[int, int] | None
 
 
-def _generate_raw(cfg: SyntheticConfig):
-    """Shared core: raw (unthresholded) connectivity per visit plus truth.
+def _draw_cohort(cfg: SyntheticConfig) -> tuple[GroundTruth, typing.Iterator]:
+    """The cohort's truth, and an iterator that draws one visit at a time and
+    yields its record with the raw (unthresholded) matrix its graph was built
+    from, so only one raw matrix need be alive at a time.
 
     The draw order is fixed (mixing maps, latents, then per visit noise /
     jitter / cognitive noise) so results are a pure function of the config.
@@ -322,77 +324,70 @@ def _generate_raw(cfg: SyntheticConfig):
     mixing = rng.normal(size=(v, ell)) / math.sqrt(ell)
     cog_map = rng.normal(size=(cfg.d_cog, ell))
     latents = rng.normal(size=(cfg.subjects, ell))
-    subject_ids = tuple(f"s{ix:03d}" for ix in range(cfg.subjects))
-    labels = (latents[:, cfg.label_latent] > 0.0).astype(np.int64)
-    n_two = round(cfg.subjects * cfg.two_visit_fraction)
     planted = (0, 1) if cfg.planted_strength > 0.0 else None
-    keys: list[tuple[str, int]] = []
-    mats: list[np.ndarray] = []
-    cogs: list[np.ndarray] = []
-    offset = 0.2
-    for s in range(cfg.subjects):
-        z = latents[s]
-        low = (mixing * z) @ mixing.T
-        low = (low + low.T) / 2.0
-        for visit in range(1, (2 if s < n_two else 1) + 1):
-            noise = rng.normal(size=(v, v))
-            noise = (noise + noise.T) / 2.0
-            jitter = rng.normal(size=ell)
-            cog_noise = rng.normal(size=cfg.d_cog)
-            logits = offset + cfg.signal * low + cfg.noise * noise
-            if planted is not None:
-                p, q = planted
-                bump = cfg.planted_strength * z[cfg.label_latent]
-                logits[p, q] += bump
-                logits[q, p] += bump
-            mat = np.tanh(logits)
-            np.fill_diagonal(mat, 1.0)
-            shared = cfg.coupling * z + math.sqrt(1.0 - cfg.coupling**2) * jitter
-            cog = cog_map @ shared + cfg.noise * cog_noise
-            keys.append((subject_ids[s], visit))
-            mats.append(mat)
-            cogs.append(cog)
     truth = GroundTruth(
-        subject_ids=subject_ids,
+        subject_ids=tuple(f"s{ix:03d}" for ix in range(cfg.subjects)),
         latents=latents,
         mixing=mixing,
         cognitive_map=cog_map,
-        labels=labels,
+        labels=(latents[:, cfg.label_latent] > 0.0).astype(np.int64),
         planted_edge=planted,
     )
-    return keys, mats, cogs, truth
+    n_two = round(cfg.subjects * cfg.two_visit_fraction)
+    offset = 0.2
 
+    def visits():
+        for s, (subject, z) in enumerate(zip(truth.subject_ids, latents)):
+            low = (mixing * z) @ mixing.T
+            low = (low + low.T) / 2.0
+            for visit in range(1, (2 if s < n_two else 1) + 1):
+                noise = rng.normal(size=(v, v))
+                noise = (noise + noise.T) / 2.0
+                jitter = rng.normal(size=ell)
+                cog_noise = rng.normal(size=cfg.d_cog)
+                logits = offset + cfg.signal * low + cfg.noise * noise
+                if planted is not None:
+                    p, q = planted
+                    bump = cfg.planted_strength * z[cfg.label_latent]
+                    logits[p, q] += bump
+                    logits[q, p] += bump
+                mat = np.tanh(logits)
+                np.fill_diagonal(mat, 1.0)
+                shared = cfg.coupling * z + math.sqrt(1.0 - cfg.coupling**2) * jitter
+                cog = cog_map @ shared + cfg.noise * cog_noise
+                yield VisitRecord(subject, visit, build_graph(mat), cog), mat
 
-def _records(keys, mats, cogs) -> list[VisitRecord]:
-    return [
-        VisitRecord(subject_id=s, visit=v, graph=build_graph(m), cognition=c)
-        for (s, v), m, c in zip(keys, mats, cogs)
-    ]
+    return truth, visits()
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> tuple[list[VisitRecord], GroundTruth]:
     """Generate the cohort in memory; negatives are thresholded by
-    build_graph exactly as they would be on load."""
-    keys, mats, cogs, truth = _generate_raw(cfg)
-    return _records(keys, mats, cogs), truth
+    build_graph exactly as they would be on load. Visits are drawn one at a
+    time, so one raw matrix is alive at a time beside the returned graphs."""
+    truth, visits = _draw_cohort(cfg)
+    return [record for record, _ in visits], truth
 
 
 def synthesize_to_disk(cfg: SyntheticConfig, root: Path) -> tuple[list[VisitRecord], GroundTruth]:
     """Generate and write a loadable dataset: manifest.csv, one raw
-    connectivity CSV per visit, labels.csv, latents.csv.
+    connectivity CSV per visit, labels.csv, latents.csv. Each visit's CSV is
+    written as the visit is drawn, so one raw matrix is alive at a time
+    beside the returned graphs.
 
     load_dataset(root) reproduces the returned records bit-exactly.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    keys, mats, cogs, truth = _generate_raw(cfg)
+    truth, visits = _draw_cohort(cfg)
     label_of = dict(zip(truth.subject_ids, truth.labels.tolist()))
-    manifest_rows, label_rows = [], []
-    for (subject, visit), mat, cog in zip(keys, mats, cogs):
+    records, manifest_rows, label_rows = [], [], []
+    for record, mat in visits:
+        subject, visit = record.subject_id, record.visit
         name = f"connectivity_{subject}_v{visit}.csv"
         write_matrix_csv(root / name, mat)
-        manifest_rows.append([subject, visit, name] + cog.tolist())
+        manifest_rows.append([subject, visit, name] + record.cognition.tolist())
         label_rows.append([subject, visit, label_of[subject]])
+        records.append(record)
     write_csv(
         root / "manifest.csv", manifest_rows,
         header=["subject_id", "visit", "connectivity_path"]
@@ -404,7 +399,7 @@ def synthesize_to_disk(cfg: SyntheticConfig, root: Path) -> tuple[list[VisitReco
         [[subject] + z.tolist() for subject, z in zip(truth.subject_ids, truth.latents)],
         header=["subject_id"] + [f"z_{i + 1}" for i in range(cfg.latent_dim)],
     )
-    return _records(keys, mats, cogs), truth
+    return records, truth
 
 
 def _le64(arr: np.ndarray) -> np.ndarray:

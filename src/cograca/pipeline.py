@@ -11,7 +11,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contrastive import BatchIndex, ContrastiveConfig, individualized_loss, multimodal_loss
+from .contrastive import (
+    BatchIndex, ContrastiveConfig, ZeroNormError, individualized_loss, multimodal_loss,
+)
 from .data import VisitRecord
 from .encoder import EncoderParams, encode_batch, encode_batch_vjp
 from .gcca import (
@@ -31,6 +33,7 @@ __all__ = [
     "TrainConfig",
     "TrainedModel",
     "NonFiniteLossError",
+    "DeadVisitError",
     "make_subject_folds",
     "FoldSplit",
     "fold_splits",
@@ -115,6 +118,17 @@ class NonFiniteLossError(RuntimeError):
         terms = "" if components is None else ": corr={}, ind={}, mul={}".format(
             *self.components)
         super().__init__(f"non-finite {stage} at epoch {epoch}{terms}")
+
+
+class DeadVisitError(RuntimeError):
+    """Raised when training leaves a visit's pooled embedding at zero norm
+    (every unit ReLU-dead), where the contrastive terms' cosine similarity
+    is undefined: a training failure on well-formed input."""
+
+    def __init__(self, epoch: int, subject: str, visit: int):
+        self.epoch, self.subject, self.visit = epoch, subject, visit
+        super().__init__(f"dead visit at epoch {epoch}: zero-norm pooled embedding for "
+                         f"subject {subject!r} visit {visit}")
 
 
 def make_subject_folds(subject_ids, k: int, seed: int) -> list[np.ndarray]:
@@ -220,7 +234,9 @@ def train_model(records: list[VisitRecord], cfg: TrainConfig) -> TrainedModel:
     is elementwise, so this equals one step per array). A final solve after
     the last step makes the stored solution consistent with the returned
     weights. NonFiniteLossError stops a run whose embedding or loss, or
-    whose weights or Adam moments after a step, are not finite.
+    whose weights or Adam moments after a step, are not finite;
+    DeadVisitError one that leaves a visit's embedding zero where a
+    contrastive term normalises it.
     """
     graphs, cogs, index = _stack_records(records)
     n = len(records)
@@ -275,12 +291,17 @@ def train_model(records: list[VisitRecord], cfg: TrainConfig) -> TrainedModel:
             # z-scoring stats are treated as constants in the backward pass
             d_pooled = (corr_grad_brain(solution, brain) / stats.brain_std[:, None]).T
             l_ind = l_mul = 0.0
-            if use_ind:
-                l_ind, g_ind = individualized_loss(pooled, index, ccfg)
-                d_pooled = d_pooled + cfg.lambda1 * g_ind
-            if use_mul:
-                l_mul, g_mul = multimodal_loss(pooled, cog.features.T, index, ccfg)
-                d_pooled = d_pooled + cfg.lambda2 * g_mul
+            try:
+                if use_ind:
+                    l_ind, g_ind = individualized_loss(pooled, index, ccfg)
+                    d_pooled = d_pooled + cfg.lambda1 * g_ind
+                if use_mul:
+                    l_mul, g_mul = multimodal_loss(pooled, cog.features.T, index, ccfg)
+                    d_pooled = d_pooled + cfg.lambda2 * g_mul
+            except ZeroNormError as exc:
+                if exc.what != "embedding":  # a cognitive vector: the input's doing
+                    raise
+                raise DeadVisitError(epoch, exc.subject, exc.visit) from None
             l_total = l_corr + cfg.lambda1 * l_ind + cfg.lambda2 * l_mul
         trace[epoch] = (l_corr, l_ind, l_mul, l_total)
         if not np.isfinite(l_total):

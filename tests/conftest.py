@@ -1,8 +1,11 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from cograca.encoder import encode_batch
 
 settings.register_profile(
     "cograca",
@@ -88,6 +91,21 @@ def damaged_folds(folds, damage: str) -> list:
     if damage == "partial":
         return list(folds[:-1])
     return [np.append(folds[0], folds[1][0])] + list(folds[1:])
+
+
+def dead_visit_encoder(row: int, epoch: int):
+    """A stand-in for cograca.pipeline.encode_batch that zeroes pooled row
+    `row` from its call number `epoch` (counting from 0) on: a visit whose
+    every pooled unit has died from that epoch of the first training run."""
+    calls = itertools.count()
+
+    def encode(params, graphs):
+        pooled, *rest = encode_batch(params, graphs)
+        if next(calls) >= epoch:
+            pooled = pooled.copy()
+            pooled[row] = 0.0
+        return (pooled, *rest)
+    return encode
 
 
 @pytest.fixture

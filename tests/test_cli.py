@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,13 +11,14 @@ import numpy as np
 import pytest
 
 import cograca
+import cograca.pipeline
 from cograca import cli
 from cograca.cli import full_help_text, main, rebuild_argv
 from cograca.data import SyntheticConfig, generate_synthetic, load_dataset, load_model
 from cograca.numerics import _derive_seed
 from cograca.pipeline import TrainConfig
 
-from conftest import rewrite_model_header, with_array_shape
+from conftest import dead_visit_encoder, rewrite_model_header, with_array_shape
 
 HERE = Path(__file__).parent
 SRC = str(Path(cograca.__file__).parents[1])
@@ -259,6 +261,15 @@ class TestConfigFlags:
         assert proc.returncode == 5
         assert proc.stderr.startswith("cograca: error[5]: non-finite Adam step at epoch 0")
         assert proc.stderr.count("\n") == 1
+
+    def test_dead_visit_exit_5(self, workspace, tmp_path, capsys, monkeypatch):
+        # a training failure on well-formed input, not a validation error (4)
+        monkeypatch.setattr(cograca.pipeline, "encode_batch", dead_visit_encoder(0, epoch=2))
+        argv = TRAIN_ARGS + ["--data", str(workspace / "data"), "--out", str(tmp_path / "o")]
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"cograca: error\[5\]: dead visit at epoch 2: zero-norm pooled "
+                            r"embedding for subject 's\d{3}' visit [12]\n", err)
 
 
 def _train_warnings_as_errors(workspace, tmp_path, *flags):

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +115,89 @@ class TestSynthetic:
             SyntheticConfig(coupling=1.2)
         with pytest.raises(ValueError):
             SyntheticConfig(label_latent=99)
+
+
+def _cohort_digest(records, truth) -> str:
+    """sha256 over every visit's keys, adjacency, attributes and cognition,
+    then the generator's truth, all as little-endian bytes."""
+    h = hashlib.sha256()
+    for r in records:
+        h.update(f"{r.subject_id},{r.visit};".encode())
+        for arr in (r.graph.adjacency, r.graph.attributes, r.cognition):
+            h.update(np.asarray(arr, dtype="<f8").tobytes())
+    for arr in (truth.latents, truth.mixing, truth.cognitive_map):
+        h.update(np.asarray(arr, dtype="<f8").tobytes())
+    h.update(np.asarray(truth.labels, dtype="<i8").tobytes())
+    h.update(repr((truth.subject_ids, truth.planted_edge)).encode())
+    return h.hexdigest()
+
+
+def _cohort_bytes(records) -> int:
+    return sum(r.graph.adjacency.nbytes + r.cognition.nbytes for r in records)
+
+
+def _traced_peak(fn, *args) -> tuple[int, object]:
+    """tracemalloc's peak, in bytes above the call's entry, and fn's result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        tracemalloc.stop()
+
+
+# sha256 digests of generated cohorts and `synth` files: the generator's draw
+# order is part of its contract, so no refactor of it may move a byte
+PINNED_COHORTS = {
+    "default": (
+        SyntheticConfig(),
+        "1b94b5055c750a2d4d095879257c0bf579d9348a02c0462b40bc8d0dc9653a21",
+    ),
+    "planted": (
+        SyntheticConfig(planted_strength=1.0, seed=3),
+        "45798e843291a579d754e2041d952d8f8346883574d3148a67961f2154848b6c",
+    ),
+}
+PINNED_FILES = {
+    "manifest.csv": "a921d0fcde8db098f54db5b286e03474d4dae11d92de1d2ebbd2c3e12e8cd61c",
+    "labels.csv": "54c5dbadff1ed2db4057e4970a41d2836ebb53f0be81c779921bc4a5fbffc499",
+    "latents.csv": "e5e812ba173d51e67febd6a11acd9a32a46b3084840656ac4b2d7c45fb42c77e",
+    "connectivity_*.csv": "ef284d30cccc1be113a90807eb200c955d6ca4557d2ca8b800effbcd01d0bd4e",
+}
+
+
+class TestPinnedCohort:
+    @pytest.mark.parametrize("name", sorted(PINNED_COHORTS))
+    def test_generated_cohort_digest(self, name):
+        cfg, digest = PINNED_COHORTS[name]
+        assert _cohort_digest(*generate_synthetic(cfg)) == digest
+
+    def test_synth_files_digest(self, tmp_path):
+        cfg, digest = PINNED_COHORTS["default"]
+        assert _cohort_digest(*synthesize_to_disk(cfg, tmp_path)) == digest
+        conn = hashlib.sha256()
+        for path in sorted(tmp_path.glob("connectivity_*.csv")):
+            conn.update(path.name.encode() + b"\0" + path.read_bytes())
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in PINNED_FILES if "*" not in name}
+        digests["connectivity_*.csv"] = conn.hexdigest()
+        assert digests == PINNED_FILES
+        assert len(list(tmp_path.iterdir())) == 3 + len(load_dataset(tmp_path))
+
+
+class TestGeneratorMemory:
+    # the generator holds one raw matrix at a time: its tracemalloc peak is
+    # the cohort it returns plus a few V x V temporaries, not two cohorts
+    CFG = SyntheticConfig(subjects=300, rois=60)
+
+    def test_generate_peak_is_one_cohort(self):
+        peak, (records, _) = _traced_peak(generate_synthetic, self.CFG)
+        assert peak <= 1.25 * _cohort_bytes(records)
+
+    def test_synthesize_peak_is_one_cohort(self, tmp_path):
+        peak, (records, _) = _traced_peak(synthesize_to_disk, self.CFG, tmp_path)
+        assert peak <= 1.25 * _cohort_bytes(records)
 
 
 class TestDatasetRoundTrip:

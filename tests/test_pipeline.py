@@ -9,6 +9,7 @@ import cograca.pipeline
 from cograca.contrastive import ContrastiveConfig
 from cograca.data import SyntheticConfig, generate_synthetic
 from cograca.pipeline import (
+    DeadVisitError,
     NonFiniteLossError,
     TrainConfig,
     _derive_seed,
@@ -21,7 +22,7 @@ from cograca.pipeline import (
     train_model,
 )
 
-from conftest import NON_PARTITION, damaged_folds
+from conftest import NON_PARTITION, damaged_folds, dead_visit_encoder
 
 COHORT = SyntheticConfig(subjects=10, rois=12, d_cog=8, latent_dim=4, seed=5)
 TINY_TRAIN = TrainConfig(epochs=4, hidden_dim=8, r=8, d_r=5, seed=1, folds=3)
@@ -192,6 +193,35 @@ class TestTrainModel:
         assert exc_info.value.epoch == 0
         assert len(exc_info.value.components) == 3
         assert "epoch 0" in str(exc_info.value)
+
+    @pytest.mark.parametrize("lambdas", [(1.5, 0.5), (0.0, 0.5)])
+    def test_dead_visit_is_a_training_failure(self, records, monkeypatch, lambdas):
+        # a visit whose pooled embedding is all zero stops training with the
+        # epoch, subject and visit, whichever contrastive term meets it first
+        # (row 1 is s000's second visit, so the multimodal term sees it too)
+        monkeypatch.setattr(cograca.pipeline, "encode_batch", dead_visit_encoder(1, epoch=2))
+        lambda1, lambda2 = lambdas
+        cfg = dataclasses.replace(TINY_TRAIN, lambda1=lambda1, lambda2=lambda2)
+        with pytest.raises(DeadVisitError) as exc_info:
+            train_model(records, cfg)
+        err, dead = exc_info.value, records[1]
+        assert (err.epoch, err.subject, err.visit) == (2, dead.subject_id, dead.visit)
+        assert str(err) == (f"dead visit at epoch 2: zero-norm pooled embedding for "
+                            f"subject {dead.subject_id!r} visit {dead.visit}")
+
+    def test_zero_cognitive_vector_stays_an_input_error(self, records):
+        # scores equal to the other visits' means z-score to a zero row: the
+        # input's doing, so a ValueError (exit 4), not a training failure
+        mean = np.mean([r.cognition for r in records[:1] + records[2:]], axis=0)
+        damaged = [records[0], dataclasses.replace(records[1], cognition=mean), *records[2:]]
+        with pytest.raises(ValueError, match="zero-norm cognitive vector for subject 's000' "
+                                             "visit 2"):
+            train_model(damaged, dataclasses.replace(TINY_TRAIN, lambda1=0.0))
+
+    def test_dead_visit_without_contrastive_terms_trains(self, records, monkeypatch):
+        # nothing normalises the embedding, so a zero row is no failure
+        monkeypatch.setattr(cograca.pipeline, "encode_batch", dead_visit_encoder(1, epoch=2))
+        train_model(records, dataclasses.replace(TINY_TRAIN, lambda1=0.0, lambda2=0.0))
 
 
 class TestFingerprints:
