@@ -15,7 +15,6 @@ from .contrastive import (
     ContrastiveConfig,
     individualized_loss,
     multimodal_loss,
-    total_loss,
 )
 from .encoder import (
     ConnectivityGraph,
@@ -93,7 +92,6 @@ __all__ = [
     "project_fingerprint",
     "solve_gcca",
     "sym_eig",
-    "total_loss",
     "train_model",
     "wasserstein_1d",
 ]

@@ -24,7 +24,6 @@ __all__ = [
     "ZeroNormError",
     "individualized_loss",
     "multimodal_loss",
-    "total_loss",
 ]
 
 
@@ -190,12 +189,3 @@ def multimodal_loss(
     grad[active] = _norm_backward(g @ unit_c, unit_h, norms_h) / n_subjects
     return loss / n_subjects, grad
 
-
-def total_loss(corr: float, ind: float, mul: float, cfg: ContrastiveConfig) -> float:
-    """Weighted sum of the three components."""
-    value = corr + cfg.lambda1 * ind + cfg.lambda2 * mul
-    if not np.isfinite(value):
-        raise ValueError(
-            f"non-finite total loss from components corr={corr}, ind={ind}, mul={mul}"
-        )
-    return float(value)

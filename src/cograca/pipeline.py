@@ -223,20 +223,74 @@ def _stack_records(records: list[VisitRecord]):
     return graphs, cogs, index
 
 
+def _forward(params: EncoderParams, graphs, cogs: np.ndarray, cfg: TrainConfig, epoch: int,
+             degenerate: dict):
+    """Encode the graphs, z-score both views and re-solve the shared
+    representation; a non-finite embedding raises NonFiniteLossError at
+    `epoch`. Zero-variance rows are tallied in `degenerate` per view label
+    as (rows seen, solves affected). Returns (pooled, caches, brain, cog,
+    stats, solution)."""
+    # no numpy float warnings: NonFiniteLossError alone reports a non-finite
+    # embedding, loss or step
+    with np.errstate(all="ignore"):
+        pooled, _, _, caches = encode_batch(params, graphs)
+    if not np.isfinite(pooled).all():
+        raise NonFiniteLossError(epoch, stage="embedding")
+    stats, rows = _fit_stats(pooled.T, cogs)
+    for label, idx in rows.items():
+        if idx.size:
+            seen, count = degenerate.get(label, (set(), 0))
+            degenerate[label] = (seen | set(idx.tolist()), count + 1)
+    brain, cog, stats = preprocess_views(pooled.T, cogs, stats=stats)
+    return pooled, caches, brain, cog, stats, solve_gcca(brain, cog, cfg.d_r, cfg.ridge)
+
+
+def _step(params: EncoderParams, graphs, index: BatchIndex, ccfg: ContrastiveConfig,
+          epoch: int, forward):
+    """One epoch's arithmetic after `forward`, `_forward`'s result at
+    `params`: the loss terms, each one's unweighted gradient with respect to
+    the pooled embedding (loss 0.0 and gradient None for a term `ccfg`
+    weighs 0), and the encoder gradient of their weighted sum. Returns
+    ((corr, ind, mul, total), (g_corr, g_ind, g_mul), weight_grads)."""
+    pooled, caches, brain, cog, stats, solution = forward
+    l_ind = l_mul = 0.0
+    g_ind = g_mul = None
+    with np.errstate(all="ignore"):
+        l_corr = corr_loss(solution, brain, cog)
+        # z-scoring stats are treated as constants in the backward pass
+        d_pooled = g_corr = (corr_grad_brain(solution, brain) / stats.brain_std[:, None]).T
+        try:
+            if ccfg.lambda1 > 0.0:
+                l_ind, g_ind = individualized_loss(pooled, index, ccfg)
+                d_pooled = d_pooled + ccfg.lambda1 * g_ind
+            if ccfg.lambda2 > 0.0:
+                l_mul, g_mul = multimodal_loss(pooled, cog.features.T, index, ccfg)
+                d_pooled = d_pooled + ccfg.lambda2 * g_mul
+        except ZeroNormError as exc:
+            if exc.what != "embedding":  # a cognitive vector: the input's doing
+                raise
+            raise DeadVisitError(epoch, exc.subject, exc.visit) from None
+        losses = (l_corr, l_ind, l_mul, l_corr + ccfg.lambda1 * l_ind + ccfg.lambda2 * l_mul)
+        if not np.isfinite(losses[3]):
+            raise NonFiniteLossError(epoch, losses[:3])
+        weight_grads = encode_batch_vjp(params, graphs, caches, d_pooled)
+    return losses, (g_corr, g_ind, g_mul), weight_grads
+
+
 def train_model(records: list[VisitRecord], cfg: TrainConfig) -> TrainedModel:
     """Full-batch alternating optimization.
 
-    Each epoch: encode all graphs, z-score both views, re-solve the shared
-    representation, assemble the embedding gradient (correlation term chained
-    through the frozen z-scoring, plus the weighted contrastive terms on the
-    raw embeddings), backpropagate through the encoder, and take one Adam
-    step on all encoder weights at once (they live in one flat vector; Adam
-    is elementwise, so this equals one step per array). A final solve after
-    the last step makes the stored solution consistent with the returned
-    weights. NonFiniteLossError stops a run whose embedding or loss, or
-    whose weights or Adam moments after a step, are not finite;
-    DeadVisitError one that leaves a visit's embedding zero where a
-    contrastive term normalises it.
+    Each epoch is one `_forward` (encode all graphs, z-score both views,
+    re-solve the shared representation), one `_step` (form the loss terms
+    and their embedding gradients, the correlation term's chained through
+    the frozen z-scoring, and backpropagate their weighted sum through the
+    encoder), then one Adam step on all encoder weights at once (they live
+    in one flat vector; Adam is elementwise, so this equals one step per
+    array). A final `_forward` after the last step makes the stored
+    solution consistent with the returned weights. NonFiniteLossError
+    stops a run whose embedding or loss, or whose weights or Adam moments
+    after a step, are not finite; DeadVisitError one that leaves a visit's
+    embedding zero where a contrastive term normalises it.
     """
     graphs, cogs, index = _stack_records(records)
     n = len(records)
@@ -253,68 +307,25 @@ def train_model(records: list[VisitRecord], cfg: TrainConfig) -> TrainedModel:
         warnings.warn(
             "no subject has more than one visit; contrastive terms are inactive"
         )
-    use_ind = cfg.lambda1 > 0.0 and has_multi
-    use_mul = cfg.lambda2 > 0.0 and has_multi
-    ccfg = cfg.contrastive()
+    ccfg = cfg.contrastive() if has_multi else ContrastiveConfig(cfg.temperature, 0.0, 0.0)
     rng = np.random.default_rng(cfg.seed)
     params = EncoderParams.init(graphs[0].attributes.shape[1], cfg.hidden_dim, cfg.r, rng)
     shapes = {name: arr.shape for name, arr in params.as_dict().items()}
     flat = np.concatenate([arr.ravel() for arr in params.as_dict().values()])
     opt = AdamState.for_params(flat, lr=cfg.learning_rate)
     trace = np.zeros((cfg.epochs, 4))
-    # zero-variance rows per view label: rows seen, solves affected
     degenerate: dict[str, tuple[set[int], int]] = {}
-
-    def z_score(pooled):
-        stats, rows = _fit_stats(pooled.T, cogs)
-        for label, idx in rows.items():
-            if idx.size:
-                seen, count = degenerate.get(label, (set(), 0))
-                degenerate[label] = (seen | set(idx.tolist()), count + 1)
-        return preprocess_views(pooled.T, cogs, stats=stats)
-
-    # no numpy float warnings: NonFiniteLossError alone reports a non-finite
-    # embedding, loss or step
-    def encode(params, epoch):
-        with np.errstate(all="ignore"):
-            pooled, _, _, caches = encode_batch(params, graphs)
-        if not np.isfinite(pooled).all():
-            raise NonFiniteLossError(epoch, stage="embedding")
-        return pooled, caches
-
     for epoch in range(cfg.epochs):
-        pooled, caches = encode(params, epoch)
-        brain, cog, stats = z_score(pooled)
-        solution = solve_gcca(brain, cog, cfg.d_r, cfg.ridge)
+        # rebinding keeps the last pass alive while this one allocates; freeing
+        # it first made glibc trim and re-fault the heap top (4x page faults)
+        forward = _forward(params, graphs, cogs, cfg, epoch, degenerate)
+        trace[epoch], _, grads = _step(params, graphs, index, ccfg, epoch, forward)
         with np.errstate(all="ignore"):
-            l_corr = corr_loss(solution, brain, cog)
-            # z-scoring stats are treated as constants in the backward pass
-            d_pooled = (corr_grad_brain(solution, brain) / stats.brain_std[:, None]).T
-            l_ind = l_mul = 0.0
-            try:
-                if use_ind:
-                    l_ind, g_ind = individualized_loss(pooled, index, ccfg)
-                    d_pooled = d_pooled + cfg.lambda1 * g_ind
-                if use_mul:
-                    l_mul, g_mul = multimodal_loss(pooled, cog.features.T, index, ccfg)
-                    d_pooled = d_pooled + cfg.lambda2 * g_mul
-            except ZeroNormError as exc:
-                if exc.what != "embedding":  # a cognitive vector: the input's doing
-                    raise
-                raise DeadVisitError(epoch, exc.subject, exc.visit) from None
-            l_total = l_corr + cfg.lambda1 * l_ind + cfg.lambda2 * l_mul
-        trace[epoch] = (l_corr, l_ind, l_mul, l_total)
-        if not np.isfinite(l_total):
-            raise NonFiniteLossError(epoch, trace[epoch, :3])
-        with np.errstate(all="ignore"):
-            grads = encode_batch_vjp(params, graphs, caches, d_pooled)
             flat, opt = adam_step(opt, flat, np.concatenate([grads[k].ravel() for k in shapes]))
         if not all(np.isfinite(a).all() for a in (flat, opt.m, opt.v)):
             raise NonFiniteLossError(epoch, trace[epoch, :3], stage="Adam step")
         params = EncoderParams(**_unflatten(flat, shapes))
-    pooled, _ = encode(params, cfg.epochs)
-    brain, cog, stats = z_score(pooled)
-    solution = solve_gcca(brain, cog, cfg.d_r, cfg.ridge)
+    *_, stats, solution = _forward(params, graphs, cogs, cfg, cfg.epochs, degenerate)
     for label, (seen, count) in degenerate.items():
         warnings.warn(
             f"{label} rows {sorted(seen)} had zero variance in {count} of "

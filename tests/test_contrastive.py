@@ -10,7 +10,6 @@ from cograca.contrastive import (
     ContrastiveConfig,
     individualized_loss,
     multimodal_loss,
-    total_loss,
 )
 
 from conftest import finite_difference, relative_error
@@ -375,17 +374,3 @@ def test_reruns_are_byte_identical():
         (loss, grad), (loss_again, grad_again) = run(), run()
         assert loss == loss_again
         assert grad.tobytes() == grad_again.tobytes()
-
-
-class TestTotalLoss:
-    def test_weighted_sum(self):
-        cfg = ContrastiveConfig(lambda1=1.5, lambda2=0.5)
-        assert total_loss(1.0, 2.0, 3.0, cfg) == pytest.approx(5.5)
-
-    def test_zero_weights_drop_terms(self):
-        cfg = ContrastiveConfig(lambda1=0.0, lambda2=0.0)
-        assert total_loss(1.25, 99.0, -7.0, cfg) == 1.25
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            total_loss(float("nan"), 0.0, 0.0, ContrastiveConfig())

@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 
 import cograca.pipeline
-from cograca.contrastive import ContrastiveConfig
+from cograca.contrastive import ContrastiveConfig, individualized_loss, multimodal_loss
 from cograca.data import SyntheticConfig, generate_synthetic
+from cograca.encoder import EncoderParams
+from cograca.gcca import corr_loss, preprocess_views
 from cograca.pipeline import (
     DeadVisitError,
     NonFiniteLossError,
     TrainConfig,
     _derive_seed,
+    _forward,
+    _stack_records,
+    _step,
     compute_fingerprints,
     cross_validate,
     fold_splits,
@@ -22,7 +27,9 @@ from cograca.pipeline import (
     train_model,
 )
 
-from conftest import NON_PARTITION, damaged_folds, dead_visit_encoder
+from conftest import (
+    NON_PARTITION, damaged_folds, dead_visit_encoder, finite_difference, relative_error,
+)
 
 COHORT = SyntheticConfig(subjects=10, rois=12, d_cog=8, latent_dim=4, seed=5)
 TINY_TRAIN = TrainConfig(epochs=4, hidden_dim=8, r=8, d_r=5, seed=1, folds=3)
@@ -161,8 +168,9 @@ class TestTrainModel:
         # The stages are looked up on cograca.pipeline at call time, which is
         # where a tracer wraps them: pin how often each one runs.
         calls = Counter()
-        for name in ("encode_batch", "encode_batch_vjp", "solve_gcca",
-                     "individualized_loss", "multimodal_loss", "adam_step"):
+        for name in ("encode_batch", "encode_batch_vjp", "preprocess_views", "solve_gcca",
+                     "corr_loss", "corr_grad_brain", "individualized_loss",
+                     "multimodal_loss", "adam_step"):
             def counted(*args, _name=name, _fn=getattr(cograca.pipeline, name), **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
@@ -170,7 +178,9 @@ class TestTrainModel:
         epochs = 7
         train_model(records, dataclasses.replace(TINY_TRAIN, epochs=epochs))
         assert calls == {
-            "encode_batch": epochs + 1, "encode_batch_vjp": epochs, "solve_gcca": epochs + 1,
+            "encode_batch": epochs + 1, "encode_batch_vjp": epochs,
+            "preprocess_views": epochs + 1, "solve_gcca": epochs + 1,
+            "corr_loss": epochs, "corr_grad_brain": epochs,
             "individualized_loss": epochs, "multimodal_loss": epochs, "adam_step": epochs,
         }
 
@@ -222,6 +232,37 @@ class TestTrainModel:
         # nothing normalises the embedding, so a zero row is no failure
         monkeypatch.setattr(cograca.pipeline, "encode_batch", dead_visit_encoder(1, epoch=2))
         train_model(records, dataclasses.replace(TINY_TRAIN, lambda1=0.0, lambda2=0.0))
+
+
+class TestStep:
+    @pytest.fixture(scope="class")
+    def step(self, records):
+        """The first epoch's inputs, forward pass and step at the initial weights."""
+        graphs, cogs, index = _stack_records(records)
+        params = EncoderParams.init(graphs[0].attributes.shape[1], TINY_TRAIN.hidden_dim,
+                                    TINY_TRAIN.r, np.random.default_rng(TINY_TRAIN.seed))
+        forward = _forward(params, graphs, cogs, TINY_TRAIN, 0, {})
+        result = _step(params, graphs, index, TINY_TRAIN.contrastive(), 0, forward)
+        return cogs, index, forward, result
+
+    def test_term_grads_match_finite_differences(self, step):
+        # each term's gradient with respect to the pooled embedding, with the
+        # forward pass's solution and z-scoring statistics held fixed
+        cogs, index, (pooled, _, _, cog, stats, solution), (_, term_grads, _) = step
+        ccfg = TINY_TRAIN.contrastive()
+
+        def corr(p):
+            return corr_loss(solution, preprocess_views(p.T, cogs, stats=stats)[0], cog)
+
+        terms = (corr, lambda p: individualized_loss(p, index, ccfg)[0],
+                 lambda p: multimodal_loss(p, cog.features.T, index, ccfg)[0])
+        for term, grad in zip(terms, term_grads, strict=True):
+            assert relative_error(grad, finite_difference(term, pooled.copy())) < 1e-4
+
+    def test_losses_are_the_first_trace_row(self, records, step):
+        losses, _, _ = step[3]
+        trace = train_model(records, dataclasses.replace(TINY_TRAIN, epochs=1)).loss_trace
+        assert np.array(losses).tobytes() == trace[0].tobytes()
 
 
 class TestFingerprints:
