@@ -9,6 +9,9 @@ written out by hand so gradients are exact and fully deterministic.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,6 +241,82 @@ def _layer_backward(w: np.ndarray, m: np.ndarray, cache, d_h_out: np.ndarray):
 # block bounds the attention buffers and reverse-pass caches any pass holds.
 _BLOCK_BYTES = 1 << 20
 
+# The lanes that run visit blocks side by side: the caller, plus a pool of
+# one worker thread per other usable CPU. Both are set on first use.
+_lanes = 0
+_pool = None
+
+
+def _lane_pool():
+    """(lane count, pool of lane count - 1 workers, or None on one CPU)."""
+    global _lanes, _pool
+    if not _lanes:
+        lanes = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        if lanes > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(lanes - 1, thread_name_prefix="cograca-lane")
+        _lanes = lanes
+    return _lanes, _pool
+
+
+def _lane_map(fn, items):
+    """Yield fn(item) for every item, in order, with the items run on the
+    lanes: each lane takes the next unstarted item whenever it is free, so
+    it holds at most one, and the caller works through items until the
+    result due next is ready. A worker runs its items in a copy of the
+    caller's context, so under the caller's numpy error state. One item, or
+    one lane, runs in the caller alone, in order. The first item, in order,
+    that raises has its exception reach the caller unchanged, once no lane
+    can start another item and the workers are idle."""
+    lanes, pool = _lane_pool() if len(items) > 1 else (1, None)
+    if pool is None:
+        yield from map(fn, items)
+        return
+    pending = iter(range(len(items)))
+    results = {}  # index -> (value, exception), for items run but not yet yielded
+    ready = threading.Condition()
+
+    def take():
+        with ready:
+            return next(pending, None)
+
+    def run(i):
+        try:
+            outcome = fn(items[i]), None
+        except BaseException as exc:
+            outcome = None, exc
+        with ready:
+            results[i] = outcome
+            ready.notify()
+
+    def work():
+        while (i := take()) is not None:
+            run(i)
+
+    workers = [pool.submit(contextvars.copy_context().run, work)
+               for _ in range(min(lanes, len(items)) - 1)]
+    try:
+        for out in range(len(items)):
+            while out not in results:
+                i = take()
+                if i is not None:
+                    run(i)
+                else:
+                    with ready:
+                        ready.wait_for(lambda: out in results)
+            value, error = results.pop(out)
+            if error is not None:
+                raise error
+            yield value
+    finally:
+        with ready:
+            for _ in pending:  # start nothing more
+                pass
+        for worker in workers:
+            if not worker.cancel():
+                worker.result()
+
 
 def _block_slices(n: int, v: int) -> list[slice]:
     """Consecutive visit blocks covering range(n); only the last is short."""
@@ -256,11 +335,9 @@ def _block_forward(params: EncoderParams, graphs, sl: slice):
     return h2, (c1, c2)
 
 
-def encode_blocks(params: EncoderParams, graphs):
-    """Encode a sequence of graphs sharing a node count, one visit block
-    at a time. Yields (slice of graphs, node embeddings (B,V,r), caches)
-    per block, in order; each cache is the tuple of arrays `_layer_forward`
-    documents, its attention at index 2. No graph array is written."""
+def _visit_blocks(params: EncoderParams, graphs) -> list[slice]:
+    """The visit blocks of a non-empty batch whose attributes match the
+    encoder input."""
     if not len(graphs):
         raise ValueError("no graphs given")
     if graphs[0].attributes.shape[1] != params.d_in:
@@ -268,7 +345,15 @@ def encode_blocks(params: EncoderParams, graphs):
             f"attribute dimension {graphs[0].attributes.shape[1]} does not match "
             f"encoder input {params.d_in}"
         )
-    for sl in _block_slices(len(graphs), graphs[0].n_nodes):
+    return _block_slices(len(graphs), graphs[0].n_nodes)
+
+
+def encode_blocks(params: EncoderParams, graphs):
+    """Encode a sequence of graphs sharing a node count, one visit block
+    at a time. Yields (slice of graphs, node embeddings (B,V,r), caches)
+    per block, in order; each cache is the tuple of arrays `_layer_forward`
+    documents, its attention at index 2. No graph array is written."""
+    for sl in _visit_blocks(params, graphs):
         yield sl, *_block_forward(params, graphs, sl)
 
 
@@ -278,10 +363,22 @@ def encode_batch(params: EncoderParams, graphs):
     Returns (pooled (N,r), then for the last visit block only: its node
     embeddings (B,V,r), attentions per layer (B,V,V) and caches for the
     reverse pass). A batch of at most one block's visits is returned whole.
+
+    The blocks run on the lanes, the caller and one worker thread per other
+    usable CPU, each lane one block at a time; each block writes its own
+    rows of `pooled` with the serial sweep's arithmetic, so the result is
+    the same bit for bit for any lane count. A one-block batch, or a host
+    with one usable CPU, runs in the caller alone.
     """
+    slices = _visit_blocks(params, graphs)
     pooled = np.empty((len(graphs), params.d_out))
-    for sl, nodes, caches in encode_blocks(params, graphs):
+
+    def run(sl):
+        nodes, caches = _block_forward(params, graphs, sl)
         nodes.mean(axis=1, out=pooled[sl])
+        return (nodes, caches) if sl is slices[-1] else None
+
+    *_, (nodes, caches) = _lane_map(run, slices)
     return pooled, nodes, tuple(c[2] for c in caches), caches
 
 
@@ -303,20 +400,35 @@ def encode_batch_vjp(
     """Gradients of sum_n <d_pooled[n], pooled[n]> with respect to all params.
 
     `caches` are encode_batch's for the same params and graphs; they serve
-    the last block. The other blocks are walked from last to first, each
+    the last block. The other blocks are taken from last to first, each
     forward recomputed just before its reverse pass (gradient
-    checkpointing), so besides the kept caches one block's are held at a
-    time. The weight gradients are summed over the blocks.
+    checkpointing), so besides the kept caches each lane holds one block's.
+    The blocks run on encode_batch's lanes, and the caller sums their
+    weight gradients in that fixed order, the last block's first, so the
+    result is the same bit for bit for any lane count. `d_pooled` must be
+    (len(graphs), d_out) and `graphs` non-empty; both are checked before
+    any block runs.
     """
+    if not len(graphs):
+        raise ValueError("no graphs given")
+    if np.shape(d_pooled) != (len(graphs), params.d_out):
+        raise ValueError(
+            f"d_pooled has shape {np.shape(d_pooled)}, expected {(len(graphs), params.d_out)}"
+        )
     *rest, last = _block_slices(len(graphs), graphs[0].n_nodes)
     if caches[0][0].shape[0] != last.stop - last.start:
         raise ValueError(
             f"caches hold {caches[0][0].shape[0]} visits, the last block {last.stop - last.start}"
         )
-    grads = _block_vjp(params, caches, d_pooled[last])
-    for sl in reversed(rest):
-        _, block_caches = _block_forward(params, graphs, sl)
-        for name, grad in _block_vjp(params, block_caches, d_pooled[sl]).items():
+
+    def run(sl):
+        block_caches = caches if sl is last else _block_forward(params, graphs, sl)[1]
+        return _block_vjp(params, block_caches, d_pooled[sl])
+
+    blocks = _lane_map(run, [last, *reversed(rest)])
+    grads = next(blocks)
+    for block in blocks:
+        for name, grad in block.items():
             grads[name] += grad
     return grads
 

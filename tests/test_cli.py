@@ -150,6 +150,18 @@ class TestTrain:
         assert model.config.epochs == 4
         assert model.params.d_out == 6
 
+    def test_one_block_folds_start_no_thread(self, workspace, tmp_path):
+        # every fold fits one visit block, so the encoder's lane pool is never made
+        code = ("import sys, threading; from cograca.cli import main; "
+                "code = main(sys.argv[1:]); "
+                "print(code, threading.active_count(), 'concurrent.futures' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *TRAIN_ARGS, "--data", str(workspace / "data"),
+             "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), check=True,
+        )
+        assert proc.stdout.splitlines()[-1].split() == ["0", "1", "False"]
+
     def test_missing_data_dir_exit_3(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith("cograca: error[3]:")
@@ -261,6 +273,20 @@ class TestConfigFlags:
         assert proc.returncode == 5
         assert proc.stderr.startswith("cograca: error[5]: non-finite Adam step at epoch 0")
         assert proc.stderr.count("\n") == 1
+
+    def test_multi_block_nonfinite_embedding_is_one_stderr_line(self, tmp_path):
+        # 60 visits at 100 ROIs: each fold trains on four visit blocks, which
+        # run on every usable CPU, each under the caller's numpy error state
+        data = tmp_path / "data"
+        assert main(["synth", "--subjects", "40", "--rois", "100", "--out", str(data)]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "cograca", "train",
+             "--epochs", "2", "--learning-rate", "1e300", "--data", str(data),
+             "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), check=False,
+        )
+        assert proc.returncode == 5
+        assert proc.stderr == "cograca: error[5]: non-finite embedding at epoch 1\n"
 
     def test_dead_visit_exit_5(self, workspace, tmp_path, capsys, monkeypatch):
         # a training failure on well-formed input, not a validation error (4)

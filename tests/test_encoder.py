@@ -1,8 +1,16 @@
+import os
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cograca import encoder
 from cograca.data import SyntheticConfig, generate_synthetic
 from cograca.encoder import (
     ConnectivityGraph,
@@ -427,6 +435,33 @@ def _cache_bytes(caches):
     return sum({id(a): a.nbytes for layer in caches for a in layer}.values())
 
 
+@contextmanager
+def _lanes(n):
+    """Run the encoder's visit blocks on n lanes: the caller and a pool of
+    n - 1 workers, whatever the host's CPU count."""
+    saved = encoder._lanes, encoder._pool
+    pool = ThreadPoolExecutor(n - 1) if n > 1 else None
+    encoder._lanes, encoder._pool = n, pool
+    try:
+        yield
+    finally:
+        encoder._lanes, encoder._pool = saved
+        if pool is not None:
+            pool.shutdown()
+
+
+def _traced_peak(fn, *args):
+    """The tracemalloc peak of fn(*args), over all threads, above the
+    memory traced when it starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestVisitBlocks:
     @pytest.fixture(scope="class")
     def case(self):
@@ -498,6 +533,152 @@ class TestVisitBlocks:
 
     def test_inputs_are_never_written(self, case):
         _assert_inputs_never_written(*case)
+
+    @pytest.mark.parametrize("rows, cols", [(35, 3), (29, 3), (30, 4)])
+    def test_d_pooled_of_another_shape_rejected_before_any_block(self, case, monkeypatch,
+                                                                 rows, cols):
+        params, graphs, _ = case
+        _, _, _, caches = encode_batch(params, graphs)
+        monkeypatch.setattr(encoder, "_lane_map", None)  # no block may run
+        with pytest.raises(ValueError, match=rf"shape \({rows}, {cols}\), expected \(30, 3\)"):
+            encode_batch_vjp(params, graphs, caches, np.ones((rows, cols)))
+
+    def test_empty_graphs_rejected_before_any_block(self, case, monkeypatch):
+        params, graphs, _ = case
+        _, _, _, caches = encode_batch(params, graphs)
+        monkeypatch.setattr(encoder, "_lane_map", None)
+        with pytest.raises(ValueError, match="no graphs given"):
+            encode_batch_vjp(params, [], caches, np.ones((0, 3)))
+
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_lanes_give_the_serial_bytes(self, case, lanes):
+        params, graphs, d_pooled = case
+
+        def run():
+            pooled, nodes, attns, caches = encode_batch(params, graphs)
+            grads = encode_batch_vjp(params, graphs, caches, d_pooled)
+            return [a.tobytes() for a in (pooled, nodes, *attns, *grads.values())]
+
+        with _lanes(1):
+            serial = run()
+        with _lanes(lanes):
+            assert run() == serial
+
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_lanes_train_the_serial_bytes(self, trained, lanes):
+        records, cfg, _ = trained
+        with _lanes(1):
+            serial = train_model(records, cfg)
+        with _lanes(lanes):
+            model = train_model(records, cfg)
+        assert model.solution.r.tobytes() == serial.solution.r.tobytes()
+        assert model.loss_trace.tobytes() == serial.loss_trace.tobytes()
+
+    @pytest.mark.parametrize("where", ["forward", "recompute", "reverse"])
+    def test_worker_exception_reaches_the_caller_unchanged(self, case, monkeypatch, where):
+        params, graphs, d_pooled = case
+        _, _, _, caches = encode_batch(params, graphs)
+        error = RuntimeError("a worker's block failed")
+        name = "_block_vjp" if where == "reverse" else "_block_forward"
+        inner = getattr(encoder, name)
+
+        worker_failed = threading.Event()
+
+        def fail_off_the_caller(*args):
+            if threading.current_thread() is threading.main_thread():
+                worker_failed.wait(timeout=60)  # leave the other blocks to the workers
+                return inner(*args)
+            worker_failed.set()
+            raise error
+
+        monkeypatch.setattr(encoder, name, fail_off_the_caller)
+        with _lanes(3), pytest.raises(RuntimeError) as raised:
+            if where == "forward":
+                encode_batch(params, graphs)
+            else:
+                encode_batch_vjp(params, graphs, caches, d_pooled)
+        assert raised.value is error
+
+    def test_many_lanes_on_one_block_per_visit_under_fast_switching(self, case, monkeypatch):
+        # 30 one-visit blocks on 4 lanes, whatever the CPU count, with the
+        # interpreter switching threads every microsecond: a block taken
+        # twice, or a result lost, shows as another call count, other bytes
+        # or a hang
+        params, graphs, d_pooled = case
+        monkeypatch.setattr(encoder, "_BLOCK_BYTES", 8 * 100 * 100)
+        calls = []
+        inner = encoder._block_forward
+        monkeypatch.setattr(encoder, "_block_forward",
+                            lambda *args: calls.append(args[2].start) or inner(*args))
+
+        def run():
+            pooled, _, _, caches = encode_batch(params, graphs)
+            grads = encode_batch_vjp(params, graphs, caches, d_pooled)
+            return [a.tobytes() for a in (pooled, *grads.values())]
+
+        with _lanes(1):
+            serial = run()
+        outcomes = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _lanes(4):
+                calls.clear()
+                worker = threading.Thread(target=lambda: outcomes.extend(run() for _ in range(5)))
+                worker.start()
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not worker.is_alive()
+        assert outcomes == [serial] * 5
+        # each pass encodes every block once and recomputes all but the last
+        assert sorted(calls) == sorted([*range(30), *range(29)] * 5)
+
+    def test_one_block_batch_never_touches_the_pool(self, case, monkeypatch):
+        params, graphs, d_pooled = case
+        monkeypatch.setattr(encoder, "_lane_pool", None)  # neither made nor looked up
+        _, _, _, caches = encode_batch(params, graphs[:13])
+        encode_batch_vjp(params, graphs[:13], caches, d_pooled[:13])
+
+    def test_one_usable_cpu_runs_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(encoder, "_lanes", 0)
+        monkeypatch.setattr(encoder, "_pool", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert encoder._lane_pool() == (1, None)
+
+    def test_one_lane_per_usable_cpu(self, monkeypatch):
+        monkeypatch.setattr(encoder, "_lanes", 0)
+        monkeypatch.setattr(encoder, "_pool", None)
+        lanes, pool = encoder._lane_pool()
+        try:
+            assert lanes == len(os.sched_getaffinity(0))
+            assert (pool is None) == (lanes == 1)
+            assert encoder._lane_pool() == (lanes, pool)  # made once
+        finally:
+            if pool is not None:
+                pool.shutdown()
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_forward_peak_is_one_block_per_lane(self, case, lanes):
+        params, graphs, _ = case
+        block = _cache_bytes(encode_batch(params, graphs[:13])[3])
+        with _lanes(lanes):
+            assert _traced_peak(encode_batch, params, graphs) <= (lanes + 1) * block
+
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_reverse_peak_is_one_block_per_lane(self, case, lanes):
+        # a block's reverse pass holds its caches and two (B,V,V) slabs, about
+        # 1.6 times the cache bytes, so the serial sweep's peak is one lane's;
+        # the 5% covers the blocks' gradient dicts and the threads' bookkeeping
+        params, graphs, d_pooled = case
+        block = _cache_bytes(encode_batch(params, graphs[:13])[3])
+        _, _, _, caches = encode_batch(params, graphs)
+        with _lanes(1):
+            serial = _traced_peak(encode_batch_vjp, params, graphs, caches, d_pooled)
+        assert serial <= 2 * block
+        with _lanes(lanes):
+            peak = _traced_peak(encode_batch_vjp, params, graphs, caches, d_pooled)
+        assert peak <= 1.05 * lanes * serial, peak / serial
 
     def test_interpretation_mean_attention_is_whole_batch_mean(self, trained):
         records, _, model = trained
