@@ -32,7 +32,7 @@ from .data import (
     load_dataset,
     load_labels,
     load_model,
-    read_csv,
+    read_visit_table,
     save_model,
     synthesize_to_disk,
     write_csv,
@@ -193,26 +193,21 @@ def _write_representations(path: Path, keys, fold_of, tags, values: np.ndarray) 
 
 
 def _read_representations(path: Path):
-    header, raw = read_csv(path)
-    if header[:4] != ["subject_id", "visit", "fold", "tag"]:
-        raise DataValidationError(
-            f"{path}: header must start with subject_id,visit,fold,tag"
-        )
+    header, raw = read_visit_table(path, ["subject_id", "visit", "fold", "tag"])
     if len(header) == 4 or not raw:
         raise DataValidationError(f"{path}: no feature columns or no rows")
-    keys, folds, values = [], [], []
-    for rownum, row in enumerate(raw, start=2):
+    folds, values = [], []
+    for rownum, row in raw.values():
         try:
-            keys.append((row[0], int(row[1])))
             folds.append(int(row[2]))
             values.append([float(v) for v in row[4:]])
             valid = np.all(np.isfinite(values[-1]))
         except ValueError:
             valid = False
         if not valid:
-            raise DataValidationError(f"{path}: row {rownum}: visit and fold must be "
-                                      "integers, features finite numbers")
-    return keys, np.array(folds, dtype=np.int64), np.array(values, dtype=np.float64)
+            raise DataValidationError(f"{path}: row {rownum}: fold must be an integer, "
+                                      "features finite numbers")
+    return list(raw), np.array(folds, dtype=np.int64), np.array(values, dtype=np.float64)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,8 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
                         **_default_from(baseline_pipeline, "n_components", "ICA component count"))
     p_base.add_argument("--variance-threshold", **_default_from(
         baseline_pipeline, "variance_threshold", "PCA explained-variance threshold"))
-    p_base.add_argument("--seed", type=int, default=0, help="fold/ICA seed")
-    p_base.add_argument("--folds", type=int, default=5, help="cross-validation folds")
+    # a baseline must cut the folds that train cuts, so both defaults are TrainConfig's
+    p_base.add_argument("--seed", type=int, default=TrainConfig.seed, help="fold/ICA seed")
+    p_base.add_argument("--folds", type=int, default=TrainConfig.folds,
+                        help="cross-validation folds")
 
     p_eval = sub.add_parser(
         "evaluate", formatter_class=_Formatter,

@@ -35,6 +35,7 @@ __all__ = [
     "format_field",
     "write_csv",
     "read_csv",
+    "read_visit_table",
     "generate_synthetic",
     "synthesize_to_disk",
     "save_model",
@@ -170,6 +171,30 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
+def read_visit_table(path: Path, leading: list[str]):
+    """Read a CSV with one row per visit, whose header starts with
+    `leading`, itself starting subject_id,visit. Returns (header, rows):
+    rows maps each (subject, visit), in file order, to (row number in the
+    file, fields). A visit that is not an integer, or a (subject, visit)
+    given twice, is rejected naming the file and row."""
+    path = Path(path)
+    header, raw = read_csv(path)
+    if header[:len(leading)] != leading:
+        raise DataValidationError(f"{path}: header must start with {','.join(leading)}")
+    rows = {}
+    for rownum, row in enumerate(raw, start=2):
+        try:
+            key = row[0], int(row[1])
+        except ValueError:
+            raise DataValidationError(
+                f"{path}: row {rownum}: visit {row[1]!r} is not an integer"
+            ) from None
+        if key in rows:
+            raise DataValidationError(f"{path}: row {rownum}: duplicate (subject, visit) {key}")
+        rows[key] = rownum, row
+    return header, rows
+
+
 def load_dataset(root: Path) -> list[VisitRecord]:
     """Read manifest.csv and every referenced connectivity matrix.
 
@@ -178,39 +203,24 @@ def load_dataset(root: Path) -> list[VisitRecord]:
     """
     root = Path(root)
     manifest = root / "manifest.csv"
-    header, rows = read_csv(manifest)
-    if header[:3] != ["subject_id", "visit", "connectivity_path"]:
-        raise DataValidationError(
-            f"{manifest}: header must start with subject_id,visit,connectivity_path"
-        )
+    header, rows = read_visit_table(manifest, ["subject_id", "visit", "connectivity_path"])
     cog_cols = header[3:]
     if not cog_cols or any(not c.startswith("cog_") for c in cog_cols):
         raise DataValidationError(f"{manifest}: cognitive columns must be named cog_*")
     if not rows:
         raise DataValidationError(f"{manifest}: no visit rows")
     records: list[VisitRecord] = []
-    seen: set[tuple[str, int]] = set()
     v_nodes: int | None = None
-    for rownum, row in enumerate(rows, start=2):
-        subject = row[0]
-        try:
-            visit = int(row[1])
-        except ValueError:
-            raise DataValidationError(
-                f"{manifest}: row {rownum}: visit {row[1]!r} is not an integer"
-            ) from None
-        if (subject, visit) in seen:
-            raise DataValidationError(
-                f"{manifest}: row {rownum}: duplicate (subject, visit) "
-                f"({subject!r}, {visit})"
-            )
-        seen.add((subject, visit))
+    for (subject, visit), (rownum, row) in rows.items():
         try:
             cognition = np.array([float(v) for v in row[3:]], dtype=np.float64)
+            valid = np.all(np.isfinite(cognition))
         except ValueError:
+            valid = False
+        if not valid:
             raise DataValidationError(
-                f"{manifest}: row {rownum}: cognitive scores must be numeric"
-            ) from None
+                f"{manifest}: row {rownum}: cognitive scores must be finite numbers"
+            )
         conn_path = Path(row[2])
         if not conn_path.is_absolute():
             conn_path = root / conn_path
@@ -239,16 +249,14 @@ def load_dataset(root: Path) -> list[VisitRecord]:
 def load_labels(root: Path, task: str = "attribute") -> dict[tuple[str, int], int]:
     """Read labels.csv and return the named binary label per (subject, visit)."""
     path = Path(root) / "labels.csv"
-    header, rows = read_csv(path)
-    if header[:2] != ["subject_id", "visit"]:
-        raise DataValidationError(f"{path}: header must start with subject_id,visit")
+    header, rows = read_visit_table(path, ["subject_id", "visit"])
     if task not in header:
         raise DataValidationError(f"{path}: no column named {task!r}")
     col = header.index(task)
     labels: dict[tuple[str, int], int] = {}
-    for rownum, row in enumerate(rows, start=2):
+    for key, (rownum, row) in rows.items():
         try:
-            labels[(row[0], int(row[1]))] = int(row[col])
+            labels[key] = int(row[col])
         except ValueError:
             raise DataValidationError(f"{path}: row {rownum}: malformed label row") from None
     return labels

@@ -428,6 +428,12 @@ class TestBaselineCli:
         assert main(["baseline", "--kind", "magic", "--data", str(workspace / "data"),
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_fold_defaults_are_the_train_defaults(self):
+        # a baseline must cut the folds that a train run with default flags cuts
+        args = cli.build_parser().parse_args(
+            ["baseline", "--kind", "pca-cca", "--data", "d", "--out", "o"])
+        assert (args.folds, args.seed) == (TrainConfig().folds, TrainConfig().seed)
+
 
 # each rewrites the fields of one representation row
 _ROW_DAMAGE = {
@@ -579,6 +585,36 @@ class TestEvaluateCli:
             argv += ["--data", str(workspace / "data"), "--epochs", "2"]
         assert main(argv) == 4
         assert "reps.csv: no feature columns or no rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("analysis", ["similarity", "classify", "attribute"])
+    def test_repeated_representation_row_exit_4(self, workspace, tmp_path, capsys, analysis):
+        # a repeated row once passed, and in similarity counted as a same-subject pair
+        lines = (workspace / "fp" / "fingerprints.csv").read_text().splitlines()
+        reps = tmp_path / "reps.csv"
+        reps.write_text("\n".join(lines + [lines[1]]) + "\n")
+        argv = ["evaluate", analysis, "--representations", str(reps),
+                "--out", str(tmp_path / "o")]
+        if analysis != "similarity":
+            argv += ["--data", str(workspace / "data"), "--epochs", "2"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"reps.csv: row {len(lines) + 1}: duplicate (subject, visit)" in err
+
+    def test_repeated_label_row_exit_4(self, workspace, tmp_path, capsys):
+        # a conflicting second label for a visit once replaced the first
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        lines = (data / "labels.csv").read_text().splitlines()
+        subject, visit, label = lines[1].split(",")
+        (data / "labels.csv").write_text(
+            "\n".join(lines + [f"{subject},{visit},{1 - int(label)}"]) + "\n")
+        assert main(["evaluate", "classify",
+                     "--representations", str(workspace / "fp" / "fingerprints.csv"),
+                     "--data", str(data), "--epochs", "2", "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"labels.csv: row {len(lines) + 1}: duplicate (subject, visit)" in err
 
     def test_interpret_bad_fold_exit_4(self, workspace, tmp_path):
         assert main(["evaluate", "interpret", "--data", str(workspace / "data"),

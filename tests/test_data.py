@@ -243,6 +243,17 @@ class TestDatasetRoundTrip:
         with pytest.raises(DataValidationError, match="duplicate"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_nonfinite_cognitive_score_names_row(self, tmp_path, score):
+        # once a bare "cognitive scores must be a finite vector", naming no file
+        synthesize_to_disk(SMALL, tmp_path)
+        manifest = tmp_path / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:-1] + [score])
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataValidationError, match="manifest.csv: row 4: cognitive scores"):
+            load_dataset(tmp_path)
+
     def test_bad_cognitive_value_names_row(self, tmp_path):
         synthesize_to_disk(SMALL, tmp_path)
         manifest = tmp_path / "manifest.csv"

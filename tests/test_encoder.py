@@ -2,8 +2,8 @@ import os
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -437,17 +437,14 @@ def _cache_bytes(caches):
 
 @contextmanager
 def _lanes(n):
-    """Run the encoder's visit blocks on n lanes: the caller and a pool of
-    n - 1 workers, whatever the host's CPU count."""
-    saved = encoder._lanes, encoder._pool
-    pool = ThreadPoolExecutor(n - 1) if n > 1 else None
-    encoder._lanes, encoder._pool = n, pool
-    try:
+    """Run the encoder's visit blocks on n lanes, whatever the host's CPU
+    count: the CPU count it reads is patched to n."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n)), create=True):
         yield
-    finally:
-        encoder._lanes, encoder._pool = saved
-        if pool is not None:
-            pool.shutdown()
+
+
+def _lane_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("cograca-lane")]
 
 
 def _traced_peak(fn, *args):
@@ -598,6 +595,7 @@ class TestVisitBlocks:
             else:
                 encode_batch_vjp(params, graphs, caches, d_pooled)
         assert raised.value is error
+        assert not _lane_threads()  # the workers stopped before it was raised
 
     def test_many_lanes_on_one_block_per_visit_under_fast_switching(self, case, monkeypatch):
         # 30 one-visit blocks on 4 lanes, whatever the CPU count, with the
@@ -636,27 +634,46 @@ class TestVisitBlocks:
 
     def test_one_block_batch_never_touches_the_pool(self, case, monkeypatch):
         params, graphs, d_pooled = case
-        monkeypatch.setattr(encoder, "_lane_pool", None)  # neither made nor looked up
+        # the CPU count is not read, so no pool is opened
+        monkeypatch.setattr(os, "sched_getaffinity", None, raising=False)
         _, _, _, caches = encode_batch(params, graphs[:13])
         encode_batch_vjp(params, graphs[:13], caches, d_pooled[:13])
 
-    def test_one_usable_cpu_runs_in_the_caller(self, monkeypatch):
-        monkeypatch.setattr(encoder, "_lanes", 0)
-        monkeypatch.setattr(encoder, "_pool", None)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert encoder._lane_pool() == (1, None)
+    def test_one_usable_cpu_runs_in_the_caller(self, case, monkeypatch):
+        params, graphs, d_pooled = case
+        callers = set()
+        inner = encoder._block_forward
+        monkeypatch.setattr(encoder, "_block_forward",
+                            lambda *args: callers.add(threading.current_thread()) or inner(*args))
+        with _lanes(1):
+            _, _, _, caches = encode_batch(params, graphs)
+            encode_batch_vjp(params, graphs, caches, d_pooled)
+        assert callers == {threading.current_thread()}
 
-    def test_one_lane_per_usable_cpu(self, monkeypatch):
-        monkeypatch.setattr(encoder, "_lanes", 0)
-        monkeypatch.setattr(encoder, "_pool", None)
-        lanes, pool = encoder._lane_pool()
-        try:
-            assert lanes == len(os.sched_getaffinity(0))
-            assert (pool is None) == (lanes == 1)
-            assert encoder._lane_pool() == (lanes, pool)  # made once
-        finally:
-            if pool is not None:
-                pool.shutdown()
+    def test_one_lane_per_usable_cpu(self, case, monkeypatch):
+        params, graphs, _ = case
+        workers = []
+        inner = encoder._lane_map
+
+        def counted(fn, items):
+            for value in inner(fn, items):
+                workers.append(len(_lane_threads()))
+                yield value
+
+        monkeypatch.setattr(encoder, "_lane_map", counted)
+        monkeypatch.setattr(encoder, "_BLOCK_BYTES", 8 * 100 * 100)  # 30 blocks
+        for lanes in (2, 3):
+            workers.clear()
+            with _lanes(lanes):
+                encode_batch(params, graphs)
+            assert max(workers) == lanes - 1
+            assert not _lane_threads()  # joined before encode_batch returned
+
+    def test_no_lane_outlives_a_multi_block_training_run(self, trained):
+        records, cfg, _ = trained
+        with _lanes(2):
+            train_model(records, cfg)
+        assert not _lane_threads()
 
     @pytest.mark.parametrize("lanes", [1, 2, 3])
     def test_forward_peak_is_one_block_per_lane(self, case, lanes):
