@@ -17,7 +17,7 @@ import numpy as np
 from .data import VisitRecord
 from .gcca import _row_stats
 from .numerics import _derive_seed, _lead_signs, gram_svd, sym_eig
-from .pipeline import FoldSplit, fold_splits, out_of_fold
+from .pipeline import FoldSplit, fold_map, fold_splits, out_of_fold
 
 __all__ = [
     "LinearReducer",
@@ -313,30 +313,32 @@ def baseline_pipeline(
 ) -> list[FoldRepresentations]:
     """Fit one baseline per fold on the training visits and represent the
     fold's test visits. The folds may be any list of test folds (one
-    held-out fold is enough); they need not partition the visits. fMRI
-    features are the vectorized thresholded connectivity. FastICA folds that
-    stop at the iteration limit are reported in one warning with their
-    count."""
+    held-out fold is enough); they need not partition the visits. The fMRI
+    fits run by fold_map (one forked worker per usable CPU, each holding one
+    fold's training rows; a single fold runs in the caller). fMRI features
+    are the vectorized thresholded connectivity. FastICA folds that stop at
+    the iteration limit are reported in one warning with their count."""
     if kind not in BASELINE_KINDS:
         raise ValueError(f"kind must be one of {BASELINE_KINDS}, got {kind!r}")
     cogs = np.stack([r.cognition for r in records])
     splits = fold_splits(folds, len(records))
-    # per fold: the fitted reducer, and the training and test visits through it
+
+    def fit(s: FoldSplit):
+        # the fitted reducer, and the training and test visits through it; the
+        # fold's training rows are centred in place for the fit
+        rows = _edge_rows(records, s.train_indices)
+        mean = rows.mean(axis=0)
+        rows -= mean
+        red = (pca_fit(_Centered(rows, mean), variance_threshold) if kind == "pca-cca"
+               else ica_fit(_Centered(rows, mean), n_components, seed=_derive_seed(seed, s.fold)))
+        return red, rows @ red.components.T, red.transform(_edge_rows(records, s.test_indices))
+
     fits: list[tuple | None] = [None] * len(splits)
     if kind != "cognition-only":
         # one non-convergence warning for the whole call, not one per fold
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message="FastICA did not converge")
-            for k, s in enumerate(splits):
-                # one fold's training rows at a time, centred in place for the fit
-                rows = _edge_rows(records, s.train_indices)
-                mean = rows.mean(axis=0)
-                rows -= mean
-                red = (pca_fit(_Centered(rows, mean), variance_threshold) if kind == "pca-cca"
-                       else ica_fit(_Centered(rows, mean), n_components,
-                                    seed=_derive_seed(seed, s.fold)))
-                fits[k] = (red, rows @ red.components.T,
-                           red.transform(_edge_rows(records, s.test_indices)))
+            fits = fold_map(fit, splits)
         stalled = sum(not red.converged for red, _, _ in fits)
         if stalled:
             warnings.warn(

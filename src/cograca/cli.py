@@ -50,6 +50,7 @@ from .pipeline import (
     NonFiniteLossError,
     TrainConfig,
     cross_validate,
+    fold_map,
     fold_splits,
     make_subject_folds,
     out_of_fold_fingerprints,
@@ -524,16 +525,21 @@ def _cmd_evaluate_attribute(args, out: Path) -> dict:
     keys, fold_of, values = _read_representations(Path(args.representations))
     y = _join_labels(keys, Path(args.data), args.task)
     d = values.shape[1]
-    rows = []
-    abs_sum = np.zeros(d)
-    for split in _folds_from_column(fold_of):
+
+    def attribute(split):
+        """The Shapley values of the fold's test visits under its MLP."""
         train = split.train_indices
         clf = train_mlp(values[train], y[train], seed=args.seed, epochs=args.epochs)
         baseline = values[train].mean(axis=0)
-        for i in split.test_indices:
-            report = shapley_attribution(clf, values[i], baseline)
-            rows.append([keys[i][0], keys[i][1], split.fold] + [v for v in report.values])
-            abs_sum += np.abs(report.values)
+        return [shapley_attribution(clf, values[i], baseline).values for i in split.test_indices]
+
+    rows = []
+    abs_sum = np.zeros(d)
+    splits = _folds_from_column(fold_of)
+    for split, per_visit in zip(splits, fold_map(attribute, splits)):
+        for i, phi in zip(split.test_indices, per_visit):
+            rows.append([keys[i][0], keys[i][1], split.fold] + [v for v in phi])
+            abs_sum += np.abs(phi)
     write_csv(
         out / "attribution.csv",
         rows,

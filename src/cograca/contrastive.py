@@ -99,6 +99,9 @@ class ZeroNormError(ValueError):
         super().__init__(f"zero-norm {what} for subject {subject!r} visit {visit}; "
                          "cosine similarity undefined")
 
+    def __reduce__(self):  # pickle and copy rebuild from the arguments, not the message
+        return type(self), (self.what, self.subject, self.visit), self.__dict__
+
 
 def _unit_rows(index: BatchIndex, rows: np.ndarray, *views) -> list:
     """Rows `rows` of each (what, x) view scaled to unit length, with their

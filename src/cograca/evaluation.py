@@ -25,7 +25,7 @@ from .numerics import (
     mann_whitney_u,
     wasserstein_1d,
 )
-from .pipeline import TrainedModel, _stack_records, fold_splits, out_of_fold
+from .pipeline import TrainedModel, _stack_records, fold_map, fold_splits, out_of_fold
 
 __all__ = [
     "SimilarityReport",
@@ -260,8 +260,10 @@ def cross_validated_bacc(
     """Balanced accuracy of the MLP protocol, repeated over seeds.
 
     Per repeat, one classifier is trained per fold on that fold's complement
-    and the pooled held-out predictions are scored once. The folds must
-    partition the visits (see out_of_fold). Returns the per-repeat balanced
+    and the pooled held-out predictions are scored once. All repeats x folds
+    fits are one fold_map (one forked worker per usable CPU; each fit's
+    seed depends on its repeat and fold alone). The folds must partition
+    the visits (see out_of_fold). Returns the per-repeat balanced
     accuracies.
     """
     if repeats < 1:
@@ -270,19 +272,22 @@ def cross_validated_bacc(
     labels = np.asarray(labels, dtype=np.int64)
     n = representations.shape[0]
     splits = fold_splits(folds, n)
-    out = np.zeros(repeats)
-    for rep in range(repeats):
-        predictions = [
-            train_mlp(
-                representations[s.train_indices],
-                labels[s.train_indices],
-                seed=_derive_seed(seed, rep * len(folds) + s.fold),
-                epochs=epochs,
-            ).predict(representations[s.test_indices])
-            for s in splits
-        ]
-        out[rep] = balanced_accuracy(out_of_fold(splits, predictions, n)[0], labels)
-    return out
+
+    def predict(job):
+        rep, s = job
+        return train_mlp(
+            representations[s.train_indices],
+            labels[s.train_indices],
+            seed=_derive_seed(seed, rep * len(folds) + s.fold),
+            epochs=epochs,
+        ).predict(representations[s.test_indices])
+
+    predictions = fold_map(predict, [(rep, s) for rep in range(repeats) for s in splits])
+    k = len(splits)
+    return np.array([
+        balanced_accuracy(out_of_fold(splits, predictions[rep * k:(rep + 1) * k], n)[0], labels)
+        for rep in range(repeats)
+    ])
 
 
 @dataclass(frozen=True)

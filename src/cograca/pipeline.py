@@ -6,6 +6,8 @@ the encoder), and fingerprint generation for train and held-out visits.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -37,6 +39,7 @@ __all__ = [
     "make_subject_folds",
     "FoldSplit",
     "fold_splits",
+    "fold_map",
     "out_of_fold",
     "train_model",
     "compute_fingerprints",
@@ -113,11 +116,14 @@ class NonFiniteLossError(RuntimeError):
     `components` holds the epoch's (corr, ind, mul) loss terms once known."""
 
     def __init__(self, epoch: int, components=None, stage: str = "loss"):
-        self.epoch = epoch
+        self.epoch, self.stage = epoch, stage
         self.components = None if components is None else tuple(map(float, components))
         terms = "" if components is None else ": corr={}, ind={}, mul={}".format(
             *self.components)
         super().__init__(f"non-finite {stage} at epoch {epoch}{terms}")
+
+    def __reduce__(self):  # pickle and copy rebuild from the arguments, not the message
+        return type(self), (self.epoch, self.components, self.stage), self.__dict__
 
 
 class DeadVisitError(RuntimeError):
@@ -129,6 +135,9 @@ class DeadVisitError(RuntimeError):
         self.epoch, self.subject, self.visit = epoch, subject, visit
         super().__init__(f"dead visit at epoch {epoch}: zero-norm pooled embedding for "
                          f"subject {subject!r} visit {visit}")
+
+    def __reduce__(self):
+        return type(self), (self.epoch, self.subject, self.visit), self.__dict__
 
 
 def make_subject_folds(subject_ids, k: int, seed: int) -> list[np.ndarray]:
@@ -177,6 +186,151 @@ def fold_splits(folds, n_visits: int, fold_ids=None) -> list[FoldSplit]:
         train[test] = False
         splits.append(FoldSplit(int(fold_id), np.flatnonzero(train), test))
     return splits
+
+
+def fold_map(fn, items) -> list:
+    """[fn(item) for item in items], with the items run in forked workers,
+    one per usable CPU. Worker k runs items k, k + L, ... (L workers) pinned
+    to one CPU, so the encoder lanes inside it run serially; the workers
+    share the caller's memory by fork, and only results come back, pickled
+    over a pipe. Threads do not serve these jobs: they are GIL-bound, and on
+    two CPUs two threads made ten MLP fits 2x slower. Forking assumes no
+    other Python thread runs at the call; the encoder joins its lane pools
+    before each of its calls returns.
+
+    The caller sees the serial run: each item's warnings are emitted again,
+    in item order, with their category, file and line; the first item, in
+    order, that raises has its exception raised here with its own type,
+    message and attributes, and no later item's warnings are emitted. A
+    worker that dies without reporting raises RuntimeError naming its item.
+    Every worker is reaped before this returns or raises. One item, one
+    usable CPU, or no fork runs the items here, in order, forking nothing."""
+    items = list(items)
+    cpus = []
+    if len(items) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))[: len(items)]
+    if len(cpus) < 2:
+        return [fn(item) for item in items]
+    import pickle
+    import select
+    import signal
+    import struct
+
+    lanes = len(cpus)
+    workers = {}  # pipe read end -> (pid, lane)
+    results = {}  # item index -> (warnings, exception or None, value)
+    try:
+        for lane, cpu in enumerate(cpus):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker: never returns
+                status = 1
+                try:
+                    for fd in (read, *workers):
+                        os.close(fd)
+                    _fold_worker(fn, items, lane, lanes, cpu, write)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            workers[read] = pid, lane
+        # drain every pipe as data arrives, so no worker blocks on a full one
+        poller = select.poll()
+        for fd in workers:
+            poller.register(fd, select.POLLIN)
+        buffers = {fd: bytearray() for fd in workers}
+        reported = [0] * lanes  # records received per lane
+        first = 0  # the first item without a successful result
+        while workers and not (first == len(items) or first in results):
+            for fd, _ in poller.poll():
+                pid, lane = workers[fd]
+                chunk = os.read(fd, 1 << 20)
+                buf = buffers[fd]
+                buf += chunk
+                while len(buf) >= 8 and len(buf) >= 8 + (size := struct.unpack_from("<Q", buf)[0]):
+                    index = lane + reported[lane] * lanes
+                    try:
+                        results[index] = pickle.loads(buf[8:8 + size])
+                    except Exception as exc:  # an exception that does not unpickle
+                        results[index] = [], exc, None
+                    reported[lane] += 1
+                    del buf[:8 + size]
+                if not chunk:  # the worker closed its pipe: reap it
+                    poller.unregister(fd)
+                    os.close(fd)
+                    del workers[fd]
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    # its next item, unless it stopped at an exception, which comes first
+                    index = lane + reported[lane] * lanes
+                    if index < len(items):
+                        results[index] = [], RuntimeError(
+                            f"fold_map item {index}: its worker exited with status {code} "
+                            "without reporting a result"), None
+            while first in results and results[first][1] is None:
+                first += 1
+    finally:
+        # the outcome is known (or the caller was interrupted): stop the rest
+        for fd, (pid, _) in workers.items():
+            os.close(fd)
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+    out = []
+    modules = None
+    for index in range(len(items)):
+        caught, error, value = results[index]
+        if caught and modules is None:
+            modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+        for message, category, filename, lineno in caught:
+            module = modules.get(filename)
+            if module is None:
+                warnings.warn_explicit(message, category, filename, lineno)
+            else:  # as warnings.warn would from that module, so its once-only filters hold
+                g = vars(module)
+                warnings.warn_explicit(message, category, filename, lineno, g["__name__"],
+                                       g.setdefault("__warningregistry__", {}), g)
+        if error is not None:
+            raise error
+        out.append(value)
+    return out
+
+
+def _fold_worker(fn, items, lane, lanes, cpu, write) -> None:
+    """Body of fold_map's worker `lane`: run its items with their warnings
+    recorded and write one length-prefixed pickle per item to `write`,
+    stopping after the first item that raises. Nothing reaches stdout or
+    stderr."""
+    import pickle
+    import struct
+
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.dup2(devnull, 2)
+    sys.stdout = sys.stderr = open(devnull, "w")  # also where a caller redirected them
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:  # the pin saves nested lanes' threads; results do not depend on it
+        pass
+    for index in range(lane, len(items), lanes):
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                value, error = fn(items[index]), None
+            except BaseException as exc:
+                value, error = None, exc
+        caught = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        try:
+            blob = pickle.dumps((caught, error, value), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            error = RuntimeError(f"fold_map item {index}: its outcome does not pickle "
+                                 f"({type(exc).__name__}: {exc}); it raised {error!r}")
+            blob = pickle.dumps(([], error, None), pickle.HIGHEST_PROTOCOL)
+        view = memoryview(struct.pack("<Q", len(blob)) + blob)
+        while view:
+            view = view[os.write(write, view):]
+        if error is not None:
+            return
 
 
 def out_of_fold(splits, per_fold, n_visits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -380,20 +534,21 @@ def compute_fingerprints(
 def cross_validate(
     records: list[VisitRecord], cfg: TrainConfig
 ) -> tuple[list[np.ndarray], list[TrainedModel]]:
-    """Train one model per fold on that fold's complement, one fold after
-    another.
+    """Train one model per fold on that fold's complement, the folds run by
+    fold_map (one forked worker per usable CPU; the models, warnings and
+    first failure are the serial run's).
 
     Fold assignment and per-fold seeds derive deterministically from
     cfg.seed, so reruns reproduce the same models.
     """
     folds = make_subject_folds([r.subject_id for r in records], cfg.folds, cfg.seed)
-    models = [
-        train_model(
+    models = fold_map(
+        lambda split: train_model(
             [records[i] for i in split.train_indices],
             replace(cfg, seed=_derive_seed(cfg.seed, split.fold)),
-        )
-        for split in fold_splits(folds, len(records))
-    ]
+        ),
+        fold_splits(folds, len(records)),
+    )
     return folds, models
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 
 import numpy as np
 import pytest
@@ -106,6 +107,16 @@ def dead_visit_encoder(row: int, epoch: int):
             pooled[row] = 0.0
         return (pooled, *rest)
     return encode
+
+
+def usable_cpus(monkeypatch, n: int) -> None:
+    """Make fold_map and the encoder lanes see n usable CPUs, whatever the
+    host has: the affinity they read is patched to n CPUs, and a forked
+    worker's pin narrows its own copy of it to one."""
+    mask = [set(range(n))]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask[0]), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: mask.__setitem__(0, set(cpus)),
+                        raising=False)
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from cograca.data import SyntheticConfig, generate_synthetic, load_dataset, load
 from cograca.numerics import _derive_seed
 from cograca.pipeline import TrainConfig
 
-from conftest import dead_visit_encoder, rewrite_model_header, with_array_shape
+from conftest import dead_visit_encoder, rewrite_model_header, usable_cpus, with_array_shape
 
 HERE = Path(__file__).parent
 SRC = str(Path(cograca.__file__).parents[1])
@@ -689,3 +689,83 @@ class TestReproducibility:
             if name == "run.json":
                 continue
             assert (rerun / name).read_bytes() == (workspace / "data" / name).read_bytes(), name
+
+
+# `cograca` in a fresh interpreter on n usable CPUs: pinned to n of the
+# host's when it has them, else forking all the same on a patched count.
+# The last stdout line says whether a child process outlived the command.
+_ON_CPUS = """
+import os, sys
+n, argv = int(sys.argv[1]), sys.argv[2:]
+cpus = sorted(os.sched_getaffinity(0))
+if len(cpus) >= n:
+    os.sched_setaffinity(0, cpus[:n])
+else:
+    mask = [set(range(n))]
+    os.sched_getaffinity = lambda pid: set(mask[0])
+    os.sched_setaffinity = lambda pid, m: mask.__setitem__(0, set(m))
+from cograca.cli import main
+code = main(argv)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left")
+except ChildProcessError:
+    print("no child left")
+sys.exit(code)
+"""
+
+_FOLD_COMMANDS = {
+    "train": lambda ws: TRAIN_ARGS + ["--data", ws / "data"],
+    "classify": lambda ws: ["evaluate", "classify", "--representations",
+                            ws / "fp" / "fingerprints.csv", "--data", ws / "data",
+                            "--repeats", "2", "--epochs", "20"],
+    "attribute": lambda ws: ["evaluate", "attribute", "--representations",
+                             ws / "fp" / "fingerprints.csv", "--data", ws / "data",
+                             "--epochs", "20"],
+    "ica-cca": lambda ws: ["baseline", "--kind", "ica-cca", "--data", ws / "data",
+                           "--n-components", "4"],
+    "nonfinite-exit-5": lambda ws: TRAIN_ARGS + ["--data", ws / "data",
+                                                 "--temperature", "1e-320"],
+    "fold-too-small-exit-4": lambda ws: TRAIN_ARGS + ["--data", ws / "data", "--d-r", "9"],
+}
+
+
+class TestForkedFolds:
+    """The fold loops run on one forked worker per usable CPU; the command's
+    files, stdout, stderr and exit code are those of one CPU."""
+
+    @pytest.mark.parametrize("command", sorted(_FOLD_COMMANDS))
+    def test_two_cpus_match_one(self, workspace, tmp_path, command):
+        outcomes = []
+        for n in (1, 2):
+            cwd = tmp_path / f"cpus{n}"
+            cwd.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", _ON_CPUS, str(n),
+                 *map(str, _FOLD_COMMANDS[command](workspace)), "--out", "out"],
+                cwd=cwd, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+                check=False,
+            )
+            files = {p.relative_to(cwd).as_posix(): p.read_bytes()
+                     for p in sorted(cwd.rglob("*")) if p.is_file() and p.name != "run.json"}
+            outcomes.append((proc.returncode, proc.stdout, proc.stderr, files))
+        assert outcomes[1] == outcomes[0]
+        code, stdout, stderr, files = outcomes[0]
+        assert stdout.splitlines()[-1] == "no child left"
+        assert code == {"nonfinite-exit-5": 5, "fold-too-small-exit-4": 4}.get(command, 0)
+        assert code != 0 or files
+
+    def test_dead_visit_in_a_worker_exit_5(self, workspace, tmp_path, capsys, monkeypatch):
+        # every fold's worker sees its visit die; the first fold's is the one reported
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(cograca.pipeline, "encode_batch", dead_visit_encoder(0, epoch=2))
+        argv = TRAIN_ARGS + ["--data", str(workspace / "data"), "--out", str(tmp_path / "o")]
+        assert main(argv) == 5
+        forked = capsys.readouterr().err
+        usable_cpus(monkeypatch, 1)
+        monkeypatch.setattr(cograca.pipeline, "encode_batch", dead_visit_encoder(0, epoch=2))
+        assert main(argv) == 5
+        assert capsys.readouterr().err == forked
+        assert forked.startswith("cograca: error[5]: dead visit at epoch 2:")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
