@@ -526,20 +526,37 @@ def _cmd_evaluate_attribute(args, out: Path) -> dict:
     y = _join_labels(keys, Path(args.data), args.task)
     d = values.shape[1]
 
-    def attribute(split):
-        """The Shapley values of the fold's test visits under its MLP."""
+    def fit(split):
+        """The fold's MLP and training mean, or the error fitting it raised."""
         train = split.train_indices
-        clf = train_mlp(values[train], y[train], seed=args.seed, epochs=args.epochs)
-        baseline = values[train].mean(axis=0)
-        return [shapley_attribution(clf, values[i], baseline).values for i in split.test_indices]
+        try:
+            clf = train_mlp(values[train], y[train], seed=args.seed, epochs=args.epochs)
+        except Exception as exc:
+            return None, exc
+        return (clf, values[train].mean(axis=0)), None
 
+    def attribute(item):
+        """The Shapley values of one held-out visit under its fold's MLP."""
+        k, i = item
+        clf, baseline = fitted[k][0]
+        return shapley_attribution(clf, values[i], baseline).values
+
+    # Two maps, so the Shapley visits, not whole folds, are dealt to the
+    # workers. A fold's MLP error is raised where the serial loop (fit a
+    # fold, then attribute its visits) would meet it: after the visits of
+    # every earlier fold.
+    splits = _folds_from_column(fold_of)
+    fitted = fold_map(fit, splits)
+    failed = next((k for k, (_, error) in enumerate(fitted) if error is not None), len(splits))
+    items = [(k, i) for k in range(failed) for i in splits[k].test_indices]
+    phis = fold_map(attribute, items)
+    if failed < len(splits):
+        raise fitted[failed][1]
     rows = []
     abs_sum = np.zeros(d)
-    splits = _folds_from_column(fold_of)
-    for split, per_visit in zip(splits, fold_map(attribute, splits)):
-        for i, phi in zip(split.test_indices, per_visit):
-            rows.append([keys[i][0], keys[i][1], split.fold] + [v for v in phi])
-            abs_sum += np.abs(phi)
+    for (k, i), phi in zip(items, phis):
+        rows.append([keys[i][0], keys[i][1], splits[k].fold] + [v for v in phi])
+        abs_sum += np.abs(phi)
     write_csv(
         out / "attribution.csv",
         rows,
@@ -644,7 +661,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         t0 = time.monotonic()
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in the way, no permission, a read-only disk
+            raise DataValidationError(
+                f"--out {out}: cannot make the output directory ({exc.strerror or exc})") from None
         record = {
             "command": command,
             "config": _run_config(args),

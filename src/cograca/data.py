@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import ConnectivityGraph, build_graph
-from .numerics import _check_finite
+from .numerics import _check_finite, _usable_cpus
 
 __all__ = [
     "VisitRecord",
@@ -319,13 +319,103 @@ class GroundTruth:
     planted_edge: tuple[int, int] | None
 
 
-def _draw_cohort(cfg: SyntheticConfig) -> tuple[GroundTruth, typing.Iterator]:
-    """The cohort's truth, and an iterator that draws one visit at a time and
-    yields its record with the raw (unthresholded) matrix its graph was built
-    from, so only one raw matrix need be alive at a time.
+# The visits' draws are made a chunk at a time, each chunk about this many
+# bytes: 6 visits at 100 ROIs, 18 at 60, 109 at 24 (the default cohort is
+# one chunk). Drawn ahead, 2550 visits at 100 ROIs took a median 0.58 s
+# with 512 KiB chunks, 0.60-0.62 s with 1-2 MiB, 0.64 s with 256 KiB and
+# 0.73 s with 64-128 KiB, against 0.93 s drawn in the caller (five runs
+# each, one OpenBLAS thread, 2-core x86-64). A cohort of two chunks
+# (12 visits) took 4.7 ms drawn ahead and 4.9 ms in the caller.
+_DRAW_CHUNK_BYTES = 1 << 19
 
-    The draw order is fixed (mixing maps, latents, then per visit noise /
-    jitter / cognitive noise) so results are a pure function of the config.
+
+@contextmanager
+def _drawn(rng: np.random.Generator, sizes: tuple[int, ...], count: int):
+    """Yield an iterator over `count` visits' draws: per visit one
+    rng.normal array of each size in `sizes`, in that order, flat.
+
+    The draws are made a chunk of visits at a time. A chunk is one
+    standard_normal fill plus 0.0, which is rng.normal's stream (0.0 + 1.0 *
+    each standard normal) bit for bit, so the chunks do not change a draw.
+    Each visit's arrays are views into its chunk, valid until the next
+    visit's are taken.
+
+    A cohort of more than one chunk, on a host with more than one usable
+    CPU, has its chunks filled ahead by one producer thread while the caller
+    works on the visits already drawn (numpy releases the GIL while it
+    fills an array). The producer fills one of two caller-owned chunks while
+    the caller reads the other. It is stopped and joined before the block
+    exits, however it exits, and an exception it raises reaches the caller
+    unchanged. Otherwise the caller fills one chunk after another itself,
+    starting no thread and importing nothing."""
+    per_visit = sum(sizes)
+    per_chunk = max(1, min(count, _DRAW_CHUNK_BYTES // (8 * per_visit)))
+    chunks = [(start, min(start + per_chunk, count)) for start in range(0, count, per_chunk)]
+    ends = np.cumsum(sizes).tolist()
+    spans = list(zip([0] + ends, ends))
+
+    def fill(buf, start, end):
+        rows = buf[: end - start]
+        rng.standard_normal(out=rows)
+        rows += 0.0
+        return rows
+
+    def split(rows):
+        for row in rows:
+            yield [row[a:b] for a, b in spans]
+
+    if len(chunks) < 2 or len(_usable_cpus()) < 2:
+        buf = np.empty((per_chunk, per_visit))
+        yield (draws for start, end in chunks for draws in split(fill(buf, start, end)))
+        return
+    import queue
+    import threading
+
+    free, full = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(2):
+        free.put(np.empty((per_chunk, per_visit)))
+    stop = threading.Event()
+
+    def produce():
+        try:
+            for start, end in chunks:
+                buf = free.get()
+                if stop.is_set():
+                    return
+                full.put((buf, fill(buf, start, end)))
+        except BaseException as exc:
+            full.put(exc)
+
+    def ahead():
+        for _ in chunks:
+            filled = full.get()
+            if isinstance(filled, BaseException):
+                raise filled
+            buf, rows = filled
+            yield from split(rows)
+            free.put(buf)
+
+    producer = threading.Thread(target=produce, name="cograca-draw")
+    producer.start()
+    try:
+        yield ahead()
+    finally:
+        stop.set()
+        free.put(None)  # wakes a producer waiting for a chunk
+        producer.join()
+
+
+@contextmanager
+def _draw_cohort(cfg: SyntheticConfig):
+    """Yield the cohort's truth and an iterator that draws one visit at a
+    time, yielding its record and the raw (unthresholded) matrix its graph
+    was built from, so only one raw matrix need be alive at a time.
+
+    The draw order is fixed (mixing maps, latents, then per visit noise,
+    jitter and cognitive noise) so results are a pure function of the
+    config; `_drawn` may draw the visits' noise ahead on another CPU, but
+    from the same stream, so the records do not depend on the CPU count.
+    Any thread it starts is joined when the block exits, even partway.
     """
     rng = np.random.default_rng(cfg.seed)
     v, ell = cfg.rois, cfg.latent_dim
@@ -344,15 +434,14 @@ def _draw_cohort(cfg: SyntheticConfig) -> tuple[GroundTruth, typing.Iterator]:
     n_two = round(cfg.subjects * cfg.two_visit_fraction)
     offset = 0.2
 
-    def visits():
+    def visits(draws):
         for s, (subject, z) in enumerate(zip(truth.subject_ids, latents)):
             low = (mixing * z) @ mixing.T
             low = (low + low.T) / 2.0
             for visit in range(1, (2 if s < n_two else 1) + 1):
-                noise = rng.normal(size=(v, v))
+                noise, jitter, cog_noise = next(draws)
+                noise = noise.reshape(v, v)
                 noise = (noise + noise.T) / 2.0
-                jitter = rng.normal(size=ell)
-                cog_noise = rng.normal(size=cfg.d_cog)
                 logits = offset + cfg.signal * low + cfg.noise * noise
                 if planted is not None:
                     p, q = planted
@@ -365,37 +454,42 @@ def _draw_cohort(cfg: SyntheticConfig) -> tuple[GroundTruth, typing.Iterator]:
                 cog = cog_map @ shared + cfg.noise * cog_noise
                 yield VisitRecord(subject, visit, build_graph(mat), cog), mat
 
-    return truth, visits()
+    with _drawn(rng, (v * v, ell, cfg.d_cog), cfg.subjects + n_two) as draws:
+        yield truth, visits(draws)
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> tuple[list[VisitRecord], GroundTruth]:
     """Generate the cohort in memory; negatives are thresholded by
     build_graph exactly as they would be on load. Visits are drawn one at a
-    time, so one raw matrix is alive at a time beside the returned graphs."""
-    truth, visits = _draw_cohort(cfg)
-    return [record for record, _ in visits], truth
+    time, so one raw matrix is alive at a time beside the returned graphs;
+    a cohort of more than one draw chunk has its random numbers drawn ahead
+    on a second usable CPU (see `_drawn`), with the same records."""
+    with _draw_cohort(cfg) as (truth, visits):
+        return [record for record, _ in visits], truth
 
 
 def synthesize_to_disk(cfg: SyntheticConfig, root: Path) -> tuple[list[VisitRecord], GroundTruth]:
     """Generate and write a loadable dataset: manifest.csv, one raw
     connectivity CSV per visit, labels.csv, latents.csv. Each visit's CSV is
     written as the visit is drawn, so one raw matrix is alive at a time
-    beside the returned graphs.
+    beside the returned graphs, and the writes overlap the drawing ahead
+    that generate_synthetic describes. Any drawing thread is joined before
+    this returns or raises, a failed write included.
 
     load_dataset(root) reproduces the returned records bit-exactly.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    truth, visits = _draw_cohort(cfg)
-    label_of = dict(zip(truth.subject_ids, truth.labels.tolist()))
-    records, manifest_rows, label_rows = [], [], []
-    for record, mat in visits:
-        subject, visit = record.subject_id, record.visit
-        name = f"connectivity_{subject}_v{visit}.csv"
-        write_matrix_csv(root / name, mat)
-        manifest_rows.append([subject, visit, name] + record.cognition.tolist())
-        label_rows.append([subject, visit, label_of[subject]])
-        records.append(record)
+    with _draw_cohort(cfg) as (truth, visits):
+        label_of = dict(zip(truth.subject_ids, truth.labels.tolist()))
+        records, manifest_rows, label_rows = [], [], []
+        for record, mat in visits:
+            subject, visit = record.subject_id, record.visit
+            name = f"connectivity_{subject}_v{visit}.csv"
+            write_matrix_csv(root / name, mat)
+            manifest_rows.append([subject, visit, name] + record.cognition.tolist())
+            label_rows.append([subject, visit, label_of[subject]])
+            records.append(record)
     write_csv(
         root / "manifest.csv", manifest_rows,
         header=["subject_id", "visit", "connectivity_path"]

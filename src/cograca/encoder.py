@@ -10,13 +10,12 @@ written out by hand so gradients are exact and fully deterministic.
 from __future__ import annotations
 
 import contextvars
-import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import glorot
+from .numerics import _usable_cpus, glorot
 
 __all__ = [
     "ConnectivityGraph",
@@ -262,8 +261,8 @@ def _lane_map(fn, items):
     exception reach the caller unchanged, once no lane can start another
     item and the workers have stopped."""
     lanes = 1
-    if len(items) > 1 and hasattr(os, "sched_getaffinity"):
-        lanes = min(len(items), len(os.sched_getaffinity(0)))
+    if len(items) > 1:
+        lanes = max(1, min(len(items), len(_usable_cpus())))
     if lanes == 1:
         yield from map(fn, items)
         return

@@ -29,7 +29,7 @@ from .gcca import (
     project_fingerprint,
     solve_gcca,
 )
-from .numerics import AdamState, _check_finite, _derive_seed, _unflatten, adam_step
+from .numerics import AdamState, _check_finite, _derive_seed, _unflatten, _usable_cpus, adam_step
 
 __all__ = [
     "TrainConfig",
@@ -207,8 +207,8 @@ def fold_map(fn, items) -> list:
     usable CPU, or no fork runs the items here, in order, forking nothing."""
     items = list(items)
     cpus = []
-    if len(items) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        cpus = sorted(os.sched_getaffinity(0))[: len(items)]
+    if len(items) > 1 and hasattr(os, "fork"):
+        cpus = _usable_cpus()[: len(items)]
     if len(cpus) < 2:
         return [fn(item) for item in items]
     import pickle

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -76,6 +77,60 @@ def test_unknown_command_is_usage_error(capsys):
 
 def test_evaluate_without_analysis_fails(capsys):
     assert main(["evaluate"]) == 2
+
+
+# each subcommand's required flags but --out; none of the paths is read,
+# since an --out that cannot be a directory is refused before any handler runs
+_COMMAND_ARGS = {
+    "synth": ["synth"],
+    "train": ["train", "--data", "d"],
+    "fingerprint": ["fingerprint", "--data", "d", "--run", "r"],
+    "baseline": ["baseline", "--kind", "pca-cca", "--data", "d"],
+    "similarity": ["evaluate", "similarity", "--representations", "x.csv"],
+    "classify": ["evaluate", "classify", "--representations", "x.csv", "--data", "d"],
+    "attribute": ["evaluate", "attribute", "--representations", "x.csv", "--data", "d"],
+    "interpret": ["evaluate", "interpret", "--data", "d", "--run", "r"],
+    "report": ["report", "d"],
+}
+
+
+@pytest.mark.parametrize("where", ["a-file", "under-a-file", "unwritable"])
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+def test_out_that_cannot_be_a_directory_exit_4(tmp_path, capsys, command, where):
+    blocker = tmp_path / "taken"
+    if where == "unwritable":
+        if os.geteuid() == 0:
+            pytest.skip("root may write under a read-only directory")
+        blocker.mkdir(mode=0o500)
+    else:
+        blocker.write_text("keep me\n")
+    out = blocker if where == "a-file" else blocker / "sub"
+    try:
+        code = main(_COMMAND_ARGS[command] + ["--out", str(out)])
+    finally:
+        if where == "unwritable":
+            blocker.chmod(0o700)  # so that tmp_path can be removed
+    assert code == 4
+    reason = {"a-file": "File exists", "under-a-file": "Not a directory",
+              "unwritable": "Permission denied"}[where]
+    assert capsys.readouterr().err == (
+        f"cograca: error[4]: --out {out}: cannot make the output directory ({reason})\n")
+    assert os.listdir(tmp_path) == ["taken"]
+    if where != "unwritable":
+        assert blocker.read_text() == "keep me\n"
+
+
+def test_out_on_a_read_only_file_system_exit_4(tmp_path, capsys, monkeypatch):
+    def read_only(self, *args, **kwargs):
+        raise OSError(errno.EROFS, os.strerror(errno.EROFS), str(self))
+
+    monkeypatch.setattr(Path, "mkdir", read_only)
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        f"cograca: error[4]: --out {out}: cannot make the output directory "
+        f"({os.strerror(errno.EROFS)})\n")
+    assert os.listdir(tmp_path) == []
 
 
 class TestSynth:
@@ -754,6 +809,54 @@ class TestForkedFolds:
         assert stdout.splitlines()[-1] == "no child left"
         assert code == {"nonfinite-exit-5": 5, "fold-too-small-exit-4": 4}.get(command, 0)
         assert code != 0 or files
+
+    # (features, the fold whose training labels hold one class, the stderr
+    # of one CPU): a fold's MLP error is raised after the Shapley errors of
+    # every earlier fold, as the fold loop met them before it was two maps
+    @pytest.mark.parametrize("d, single, stderr", [
+        (4, None, ""),
+        (4, 2, "cograca: error[4]: training labels contain a single class\n"),
+        (21, 0, "cograca: error[4]: training labels contain a single class\n"),
+        (21, 2, "cograca: error[4]: 21 features means 2^21 coalitions; use "
+                "shapley_attribution_mc instead\n"),
+    ], ids=["ok", "one-class-fold", "wide-one-class-first-fold", "wide-one-class-last-fold"])
+    def test_attribute_on_one_two_three_cpus(self, workspace, tmp_path, d, single, stderr):
+        lines = (workspace / "fp" / "fingerprints.csv").read_text().splitlines()
+        rows = [line.split(",")[:4] for line in lines[1:]]
+        rng = np.random.default_rng(d)
+        reps = tmp_path / "reps.csv"
+        reps.write_text("\n".join(
+            [",".join(lines[0].split(",")[:4] + [f"f{j}" for j in range(d)])]
+            + [",".join(row + [repr(v) for v in rng.normal(size=d).tolist()]) for row in rows]) + "\n")
+        labels = tmp_path / "data" / "labels.csv"
+        labels.parent.mkdir()
+        folds = sorted({int(row[2]) for row in rows})
+        if single is None:
+            labels.write_text((workspace / "data" / "labels.csv").read_text())
+        else:
+            # the other folds all 1, so fold `single` trains on one class; its own
+            # visits 0, so every other fold trains on two
+            labels.write_text("subject_id,visit,attribute\n" + "".join(
+                f"{s},{v},{int(int(f) != folds[single])}\n" for s, v, f, _ in rows))
+        outcomes = []
+        for n in (1, 2, 3):
+            cwd = tmp_path / f"cpus{n}"
+            cwd.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", _ON_CPUS, str(n), "evaluate", "attribute",
+                 "--representations", str(reps), "--data", str(labels.parent),
+                 "--epochs", "20", "--out", "out"],
+                cwd=cwd, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+                check=False,
+            )
+            files = {p.relative_to(cwd).as_posix(): p.read_bytes()
+                     for p in sorted(cwd.rglob("*")) if p.is_file() and p.name != "run.json"}
+            outcomes.append((proc.returncode, proc.stdout, proc.stderr, files))
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+        code, stdout, err, files = outcomes[0]
+        assert stdout.splitlines()[-1] == "no child left"
+        assert (code, err) == ((0, "") if single is None else (4, stderr))
+        assert len(files) == (3 if single is None else 0)
 
     def test_dead_visit_in_a_worker_exit_5(self, workspace, tmp_path, capsys, monkeypatch):
         # every fold's worker sees its visit die; the first fold's is the one reported

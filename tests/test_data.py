@@ -1,11 +1,19 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cograca
+from cograca import data
 from cograca.data import (
     DataValidationError,
     SyntheticConfig,
@@ -22,7 +30,9 @@ from cograca.data import (
 )
 from cograca.pipeline import TrainConfig, train_model
 
-from conftest import random_connectivity, rewrite_model_header, with_array_shape
+from conftest import random_connectivity, rewrite_model_header, usable_cpus, with_array_shape
+
+SRC = str(Path(cograca.__file__).parents[1])
 
 SMALL = SyntheticConfig(subjects=8, rois=10, d_cog=6, latent_dim=3, seed=11)
 
@@ -158,6 +168,15 @@ PINNED_COHORTS = {
         SyntheticConfig(planted_strength=1.0, seed=3),
         "45798e843291a579d754e2041d952d8f8346883574d3148a67961f2154848b6c",
     ),
+    # 450 visits at 60 ROIs: many draw chunks, so drawn ahead on a second CPU
+    "wide": (
+        SyntheticConfig(subjects=300, rois=60),
+        "aadb22c5d5fea0e7975af81ca05aee964166d419447d3ecc80fa22f61341c4c3",
+    ),
+    "wide-planted": (
+        SyntheticConfig(subjects=300, rois=60, planted_strength=1.0, seed=3),
+        "16ec6a70bf5dc41edd12c3b859a8afefe151582d13c01ae67ef30b5e8ce262c2",
+    ),
 }
 PINNED_FILES = {
     "manifest.csv": "a921d0fcde8db098f54db5b286e03474d4dae11d92de1d2ebbd2c3e12e8cd61c",
@@ -165,6 +184,24 @@ PINNED_FILES = {
     "latents.csv": "e5e812ba173d51e67febd6a11acd9a32a46b3084840656ac4b2d7c45fb42c77e",
     "connectivity_*.csv": "ef284d30cccc1be113a90807eb200c955d6ca4557d2ca8b800effbcd01d0bd4e",
 }
+PINNED_WIDE_FILES = {
+    "manifest.csv": "546351c1ed3f8954ec4e45f319140a0f0204b2f868a51f029b57eab4b1b5b589",
+    "labels.csv": "08a72f12b0ff93b0e4bfbf55674600b6e24d0063ac6d2c9f1377bcd175e269bf",
+    "latents.csv": "ac9a8c5b2d9c144023d3fa47896e0f6b75819dc80d432c29b2e588d63bc4f574",
+    "connectivity_*.csv": "47b784ac1b24a034a5d756f764aca403d82eae40a0cb6feb8dd4b6d0fb75fce0",
+}
+
+
+def _file_digests(root, names) -> dict[str, str]:
+    """sha256 of each named file in root; the pattern connectivity_*.csv
+    digests every match's name and bytes in name order."""
+    digests = {name: hashlib.sha256((root / name).read_bytes()).hexdigest()
+               for name in names if "*" not in name}
+    conn = hashlib.sha256()
+    for path in sorted(root.glob("connectivity_*.csv")):
+        conn.update(path.name.encode() + b"\0" + path.read_bytes())
+    digests["connectivity_*.csv"] = conn.hexdigest()
+    return digests
 
 
 class TestPinnedCohort:
@@ -176,14 +213,13 @@ class TestPinnedCohort:
     def test_synth_files_digest(self, tmp_path):
         cfg, digest = PINNED_COHORTS["default"]
         assert _cohort_digest(*synthesize_to_disk(cfg, tmp_path)) == digest
-        conn = hashlib.sha256()
-        for path in sorted(tmp_path.glob("connectivity_*.csv")):
-            conn.update(path.name.encode() + b"\0" + path.read_bytes())
-        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                   for name in PINNED_FILES if "*" not in name}
-        digests["connectivity_*.csv"] = conn.hexdigest()
-        assert digests == PINNED_FILES
+        assert _file_digests(tmp_path, PINNED_FILES) == PINNED_FILES
         assert len(list(tmp_path.iterdir())) == 3 + len(load_dataset(tmp_path))
+
+    def test_multi_chunk_synth_files_digest(self, tmp_path):
+        cfg, digest = PINNED_COHORTS["wide"]
+        assert _cohort_digest(*synthesize_to_disk(cfg, tmp_path)) == digest
+        assert _file_digests(tmp_path, PINNED_WIDE_FILES) == PINNED_WIDE_FILES
 
 
 class TestGeneratorMemory:
@@ -198,6 +234,157 @@ class TestGeneratorMemory:
     def test_synthesize_peak_is_one_cohort(self, tmp_path):
         peak, (records, _) = _traced_peak(synthesize_to_disk, self.CFG, tmp_path)
         assert peak <= 1.25 * _cohort_bytes(records)
+
+
+class _Recorded(threading.Thread):
+    """threading.Thread, recording every thread started, each of which
+    lingers a moment after its target returns: one not joined by the call
+    that started it is still alive when that call returns."""
+
+    threads: list[threading.Thread] = []
+
+    def start(self):
+        _Recorded.threads.append(self)
+        super().start()
+
+    def run(self):
+        super().run()
+        time.sleep(0.2)
+
+    @classmethod
+    def started(cls) -> list[str]:
+        """The names of the threads started, none of which may be alive."""
+        assert not any(t.is_alive() for t in cls.threads)
+        return [t.name for t in cls.threads]
+
+
+_REAL_DEFAULT_RNG = np.random.default_rng
+
+
+class _FailingRng:
+    """A generator from `seed` whose standard_normal raises `error` on its
+    call number `at` (counting from 0); normal is the real generator's."""
+
+    def __init__(self, seed, error, at):
+        self._rng, self.error, self.at = _REAL_DEFAULT_RNG(seed), error, at
+        self.normal = self._rng.normal
+
+    def standard_normal(self, *args, **kwargs):
+        self.at -= 1
+        if self.at < 0:
+            raise self.error
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+class TestDrawAhead:
+    """A cohort of more than one draw chunk has its random numbers drawn by
+    a producer thread when the host has a second usable CPU: the records
+    and files are those of one CPU, and no thread outlives the call."""
+
+    WIDE = PINNED_COHORTS["wide"][0]
+
+    @pytest.fixture(autouse=True)
+    def record_threads(self, monkeypatch):
+        monkeypatch.setattr(threading, "Thread", _Recorded)
+        _Recorded.threads = []
+        before = set(threading.enumerate())
+        yield
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("name", ["wide", "wide-planted"])
+    def test_one_and_two_cpus_give_the_pinned_cohort(self, monkeypatch, name):
+        cfg, digest = PINNED_COHORTS[name]
+        for n, threads in ((1, []), (2, ["cograca-draw"])):
+            usable_cpus(monkeypatch, n)
+            _Recorded.threads = []
+            assert _cohort_digest(*generate_synthetic(cfg)) == digest
+            assert _Recorded.started() == threads
+
+    def test_one_and_two_cpus_write_the_pinned_files(self, monkeypatch, tmp_path):
+        cfg, digest = PINNED_COHORTS["wide"]
+        written = []
+        for n in (1, 2):
+            usable_cpus(monkeypatch, n)
+            root = tmp_path / f"cpus{n}"
+            assert _cohort_digest(*synthesize_to_disk(cfg, root)) == digest
+            written.append({p.name: p.read_bytes() for p in sorted(root.iterdir())})
+        assert written[0] == written[1]
+        assert _file_digests(tmp_path / "cpus2", PINNED_WIDE_FILES) == PINNED_WIDE_FILES
+        assert _Recorded.started() == ["cograca-draw"]
+
+    def test_fast_thread_switching_keeps_the_pinned_cohort(self, monkeypatch):
+        # a chunk refilled while the caller still reads it would change the digest
+        usable_cpus(monkeypatch, 2)
+        cfg, digest = PINNED_COHORTS["wide"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert _cohort_digest(*generate_synthetic(cfg)) == digest
+        finally:
+            sys.setswitchinterval(interval)
+        assert _Recorded.started() == ["cograca-draw"]
+
+    @pytest.mark.parametrize("visits_per_chunk", [1, 7])
+    def test_chunk_size_does_not_change_a_draw(self, monkeypatch, visits_per_chunk):
+        # the default cohort split into chunks, the last one short for 7
+        cfg, digest = PINNED_COHORTS["default"]
+        per_visit = cfg.rois ** 2 + cfg.latent_dim + cfg.d_cog
+        monkeypatch.setattr(data, "_DRAW_CHUNK_BYTES", 8 * per_visit * visits_per_chunk)
+        for n, threads in ((1, []), (2, ["cograca-draw"])):
+            usable_cpus(monkeypatch, n)
+            _Recorded.threads = []
+            assert _cohort_digest(*generate_synthetic(cfg)) == digest
+            assert _Recorded.started() == threads
+
+    def test_one_chunk_cohort_starts_no_thread(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        cfg, digest = PINNED_COHORTS["default"]
+        assert _cohort_digest(*generate_synthetic(cfg)) == digest
+        assert _Recorded.started() == []
+
+    def test_consumer_error_partway_joins_the_producer(self, monkeypatch, tmp_path):
+        usable_cpus(monkeypatch, 2)
+        writes = [0]
+
+        def failing_write(path, matrix):
+            writes[0] += 1
+            if writes[0] == 100:
+                raise OSError(28, "No space left on device")
+            return write_matrix_csv(path, matrix)
+
+        monkeypatch.setattr(data, "write_matrix_csv", failing_write)
+        with pytest.raises(OSError, match="No space left"):
+            synthesize_to_disk(self.WIDE, tmp_path)
+        assert _Recorded.started() == ["cograca-draw"]
+        assert writes[0] == 100
+
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_producer_error_reaches_the_caller_unchanged(self, monkeypatch, tmp_path, at):
+        usable_cpus(monkeypatch, 2)
+        error = MemoryError("no room for a chunk")
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _FailingRng(seed, error, at))
+        for call in (generate_synthetic, lambda cfg: synthesize_to_disk(cfg, tmp_path)):
+            _Recorded.threads = []
+            with pytest.raises(MemoryError) as caught:
+                call(self.WIDE)
+            assert caught.value is error
+            assert _Recorded.started() == ["cograca-draw"]
+
+    @pytest.mark.parametrize("argv", [["synth"], ["synth", "--subjects", "40", "--rois", "100"]],
+                             ids=["default", "wide"])
+    def test_synth_in_a_fresh_interpreter_leaves_one_thread(self, tmp_path, argv):
+        code = ("import sys, threading; from cograca.cli import main; "
+                "code = main(sys.argv[1:]); "
+                "print(code, threading.active_count(), 'queue' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--out", str(tmp_path / "data")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), check=True,
+        )
+        code, threads, queue = proc.stdout.split()[-3:]
+        assert (code, threads) == ("0", "1")
+        if argv == ["synth"]:  # one chunk: no thread made, nothing imported for one
+            assert queue == "False"
 
 
 class TestDatasetRoundTrip:
