@@ -315,7 +315,7 @@ def baseline_pipeline(
     fold's test visits. The folds may be any list of test folds (one
     held-out fold is enough); they need not partition the visits. The fMRI
     fits run by fold_map (one forked worker per usable CPU, each holding one
-    fold's training rows; a single fold runs in the caller). fMRI features
+    fold's training rows; see `lanes.forks`). fMRI features
     are the vectorized thresholded connectivity. FastICA folds that stop at
     the iteration limit are reported in one warning with their count."""
     if kind not in BASELINE_KINDS:

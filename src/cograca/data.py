@@ -15,15 +15,16 @@ import math
 import os
 import typing
 import warnings
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from functools import cache
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import lanes
 from .encoder import ConnectivityGraph, build_graph
-from .numerics import _check_finite, _usable_cpus
+from .numerics import _check_finite
 
 __all__ = [
     "VisitRecord",
@@ -340,22 +341,21 @@ def _drawn(rng: np.random.Generator, sizes: tuple[int, ...], count: int):
     Each visit's arrays are views into its chunk, valid until the next
     visit's are taken.
 
-    A cohort of more than one chunk, on a host with more than one usable
-    CPU, has its chunks filled ahead by one producer thread while the caller
-    works on the visits already drawn (numpy releases the GIL while it
-    fills an array). The producer fills one of two caller-owned chunks while
-    the caller reads the other. It is stopped and joined before the block
-    exits, however it exits, and an exception it raises reaches the caller
-    unchanged. Otherwise the caller fills one chunk after another itself,
-    starting no thread and importing nothing."""
+    The chunks are sequential items on `lanes.threads`, as they share one
+    stream: a cohort of more than one chunk has them filled ahead on a
+    second usable CPU while the caller builds the visits already drawn
+    (numpy releases the GIL while it fills an array). Chunk k fills
+    caller-owned buffer k % 2, free once the caller asks for chunk k - 1."""
     per_visit = sum(sizes)
     per_chunk = max(1, min(count, _DRAW_CHUNK_BYTES // (8 * per_visit)))
     chunks = [(start, min(start + per_chunk, count)) for start in range(0, count, per_chunk)]
+    bufs = [np.empty((per_chunk, per_visit)) for _ in chunks[:2]]
     ends = np.cumsum(sizes).tolist()
     spans = list(zip([0] + ends, ends))
 
-    def fill(buf, start, end):
-        rows = buf[: end - start]
+    def fill(k):
+        start, end = chunks[k]
+        rows = bufs[k % 2][: end - start]
         rng.standard_normal(out=rows)
         rows += 0.0
         return rows
@@ -364,45 +364,8 @@ def _drawn(rng: np.random.Generator, sizes: tuple[int, ...], count: int):
         for row in rows:
             yield [row[a:b] for a, b in spans]
 
-    if len(chunks) < 2 or len(_usable_cpus()) < 2:
-        buf = np.empty((per_chunk, per_visit))
-        yield (draws for start, end in chunks for draws in split(fill(buf, start, end)))
-        return
-    import queue
-    import threading
-
-    free, full = queue.SimpleQueue(), queue.SimpleQueue()
-    for _ in range(2):
-        free.put(np.empty((per_chunk, per_visit)))
-    stop = threading.Event()
-
-    def produce():
-        try:
-            for start, end in chunks:
-                buf = free.get()
-                if stop.is_set():
-                    return
-                full.put((buf, fill(buf, start, end)))
-        except BaseException as exc:
-            full.put(exc)
-
-    def ahead():
-        for _ in chunks:
-            filled = full.get()
-            if isinstance(filled, BaseException):
-                raise filled
-            buf, rows = filled
-            yield from split(rows)
-            free.put(buf)
-
-    producer = threading.Thread(target=produce, name="cograca-draw")
-    producer.start()
-    try:
-        yield ahead()
-    finally:
-        stop.set()
-        free.put(None)  # wakes a producer waiting for a chunk
-        producer.join()
+    with closing(lanes.threads(fill, range(len(chunks)), sequential=True)) as filled:
+        yield (draws for rows in filled for draws in split(rows))
 
 
 @contextmanager
@@ -415,7 +378,6 @@ def _draw_cohort(cfg: SyntheticConfig):
     jitter and cognitive noise) so results are a pure function of the
     config; `_drawn` may draw the visits' noise ahead on another CPU, but
     from the same stream, so the records do not depend on the CPU count.
-    Any thread it starts is joined when the block exits, even partway.
     """
     rng = np.random.default_rng(cfg.seed)
     v, ell = cfg.rois, cfg.latent_dim
@@ -462,8 +424,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[list[VisitRecord], GroundT
     """Generate the cohort in memory; negatives are thresholded by
     build_graph exactly as they would be on load. Visits are drawn one at a
     time, so one raw matrix is alive at a time beside the returned graphs;
-    a cohort of more than one draw chunk has its random numbers drawn ahead
-    on a second usable CPU (see `_drawn`), with the same records."""
+    the random numbers may be drawn ahead on `lanes.threads` (see
+    `_drawn`), with the same records."""
     with _draw_cohort(cfg) as (truth, visits):
         return [record for record, _ in visits], truth
 
@@ -473,8 +435,8 @@ def synthesize_to_disk(cfg: SyntheticConfig, root: Path) -> tuple[list[VisitReco
     connectivity CSV per visit, labels.csv, latents.csv. Each visit's CSV is
     written as the visit is drawn, so one raw matrix is alive at a time
     beside the returned graphs, and the writes overlap the drawing ahead
-    that generate_synthetic describes. Any drawing thread is joined before
-    this returns or raises, a failed write included.
+    that generate_synthetic describes, whose lanes end with this call, a
+    failed write included.
 
     load_dataset(root) reproduces the returned records bit-exactly.
     """

@@ -9,13 +9,12 @@ written out by hand so gradients are exact and fully deterministic.
 
 from __future__ import annotations
 
-import contextvars
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _usable_cpus, glorot
+from . import lanes
+from .numerics import glorot
 
 __all__ = [
     "ConnectivityGraph",
@@ -241,76 +240,6 @@ def _layer_backward(w: np.ndarray, m: np.ndarray, cache, d_h_out: np.ndarray):
 _BLOCK_BYTES = 1 << 20
 
 
-def _lane_map(fn, items):
-    """Yield fn(item) for every item, in order, with the items run on the
-    lanes: the caller, plus a pool of one worker thread per other usable
-    CPU that this call opens and shuts down, its workers joined, before it
-    returns or raises. Each lane takes the next unstarted item whenever it
-    is free, so it holds at most one, and the caller works through items
-    until the result due next is ready.
-
-    The caller is a lane rather than a waiter: with workers alone,
-    `large-cohort`'s peak RSS was 12-14 MB higher, likely for the extra
-    worker thread's malloc arena. Results stream in order so that the
-    caller sums each block's weight gradients and drops them as they come;
-    holding every block's to the end raised that peak by about 4 MB.
-
-    A worker runs its items in a copy of the caller's context, so under the
-    caller's numpy error state. One item, or one usable CPU, runs in the
-    caller alone, in order. The first item, in order, that raises has its
-    exception reach the caller unchanged, once no lane can start another
-    item and the workers have stopped."""
-    lanes = 1
-    if len(items) > 1:
-        lanes = max(1, min(len(items), len(_usable_cpus())))
-    if lanes == 1:
-        yield from map(fn, items)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    pending = iter(range(len(items)))
-    results = {}  # index -> (value, exception), for items run but not yet yielded
-    ready = threading.Condition()
-
-    def take():
-        with ready:
-            return next(pending, None)
-
-    def run(i):
-        try:
-            outcome = fn(items[i]), None
-        except BaseException as exc:
-            outcome = None, exc
-        with ready:
-            results[i] = outcome
-            ready.notify()
-
-    def work():
-        while (i := take()) is not None:
-            run(i)
-
-    with ThreadPoolExecutor(lanes - 1, thread_name_prefix="cograca-lane") as pool:
-        for _ in range(lanes - 1):
-            pool.submit(contextvars.copy_context().run, work)
-        try:
-            for out in range(len(items)):
-                while out not in results:
-                    i = take()
-                    if i is not None:
-                        run(i)
-                    else:
-                        with ready:
-                            ready.wait_for(lambda: out in results)
-                value, error = results.pop(out)
-                if error is not None:
-                    raise error
-                yield value
-        finally:
-            with ready:
-                for _ in pending:  # start nothing more; leaving the pool joins the workers
-                    pass
-
-
 def _block_slices(n: int, v: int) -> list[slice]:
     """Consecutive visit blocks covering range(n); only the last is short."""
     size = max(1, _BLOCK_BYTES // (8 * v * v))
@@ -357,11 +286,9 @@ def encode_batch(params: EncoderParams, graphs):
     embeddings (B,V,r), attentions per layer (B,V,V) and caches for the
     reverse pass). A batch of at most one block's visits is returned whole.
 
-    The blocks run on the lanes, the caller and one worker thread per other
-    usable CPU, each lane one block at a time; each block writes its own
-    rows of `pooled` with the serial sweep's arithmetic, so the result is
-    the same bit for bit for any lane count. A one-block batch, or a host
-    with one usable CPU, runs in the caller alone.
+    The blocks run on `lanes.threads`; each block writes its own rows of
+    `pooled` with the serial sweep's arithmetic, so the result is the same
+    bit for bit for any lane count.
     """
     slices = _visit_blocks(params, graphs)
     pooled = np.empty((len(graphs), params.d_out))
@@ -371,7 +298,7 @@ def encode_batch(params: EncoderParams, graphs):
         nodes.mean(axis=1, out=pooled[sl])
         return (nodes, caches) if sl is slices[-1] else None
 
-    *_, (nodes, caches) = _lane_map(run, slices)
+    *_, (nodes, caches) = lanes.threads(run, slices)
     return pooled, nodes, tuple(c[2] for c in caches), caches
 
 
@@ -396,11 +323,13 @@ def encode_batch_vjp(
     the last block. The other blocks are taken from last to first, each
     forward recomputed just before its reverse pass (gradient
     checkpointing), so besides the kept caches each lane holds one block's.
-    The blocks run on encode_batch's lanes, and the caller sums their
-    weight gradients in that fixed order, the last block's first, so the
-    result is the same bit for bit for any lane count. `graphs` must be
-    non-empty, with attributes of the encoder's input dimension, and
-    `d_pooled` (len(graphs), d_out); all are checked before any block runs.
+    The blocks run on `lanes.threads`, and the caller sums their weight
+    gradients as they stream in, in that fixed order, the last block's
+    first, so the result is the same bit for bit for any lane count;
+    holding every block's to the end raised `large-cohort`'s peak RSS by
+    about 4 MB. `graphs` must be non-empty, with attributes of the
+    encoder's input dimension, and `d_pooled` (len(graphs), d_out); all are
+    checked before any block runs.
     """
     *rest, last = _visit_blocks(params, graphs)
     if np.shape(d_pooled) != (len(graphs), params.d_out):
@@ -416,7 +345,7 @@ def encode_batch_vjp(
         block_caches = caches if sl is last else _block_forward(params, graphs, sl)[1]
         return _block_vjp(params, block_caches, d_pooled[sl])
 
-    blocks = _lane_map(run, [last, *reversed(rest)])
+    blocks = lanes.threads(run, [last, *reversed(rest)])
     grads = next(blocks)
     for block in blocks:
         for name, grad in block.items():

@@ -261,8 +261,8 @@ def cross_validated_bacc(
 
     Per repeat, one classifier is trained per fold on that fold's complement
     and the pooled held-out predictions are scored once. All repeats x folds
-    fits are one fold_map (one forked worker per usable CPU; each fit's
-    seed depends on its repeat and fold alone). The folds must partition
+    fits are one fold_map on the fork lanes (`lanes.forks`); each fit's
+    seed depends on its repeat and fold alone. The folds must partition
     the visits (see out_of_fold). Returns the per-repeat balanced
     accuracies.
     """

@@ -12,7 +12,6 @@ for config values, and the three statistics used by the evaluation stack
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
@@ -418,11 +417,3 @@ def mann_whitney_u(a, b) -> MannWhitneyResult:
     z = (diff - 0.5 * np.sign(diff)) / math.sqrt(var)
     p = min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
     return MannWhitneyResult(u=u1, p_value=p, degenerate=False)
-
-
-def _usable_cpus() -> list[int]:
-    """The CPUs this process may run on, ascending; empty where the platform
-    cannot tell (no os.sched_getaffinity), which callers take as one."""
-    if not hasattr(os, "sched_getaffinity"):
-        return []
-    return sorted(os.sched_getaffinity(0))

@@ -1,11 +1,13 @@
 import dataclasses
 import errno
+import functools
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -870,5 +872,43 @@ class TestForkedFolds:
         assert main(argv) == 5
         assert capsys.readouterr().err == forked
         assert forked.startswith("cograca: error[5]: dead visit at epoch 2:")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_attribute_warnings_on_two_cpus_match_one(self, workspace, tmp_path, capsys,
+                                                      monkeypatch):
+        # each fold's MLP fit and each Shapley visit warns once; the warnings
+        # print as Python prints them, whichever process raised them
+        fit, shapley = cli.train_mlp, cli.shapley_attribution
+
+        @functools.wraps(fit)  # the parser reads the default of its epochs
+        def warned_fit(x, y, **kwargs):
+            warnings.warn(f"MLP fit on {len(y)} visits summing to {x.sum()!r}")
+            return fit(x, y, **kwargs)
+
+        def warned_shapley(clf, x, baseline):
+            warnings.warn(f"Shapley visit summing to {x.sum()!r}")
+            return shapley(clf, x, baseline)
+
+        monkeypatch.setattr(cli, "train_mlp", warned_fit)
+        monkeypatch.setattr(cli, "shapley_attribution", warned_shapley)
+        monkeypatch.setattr(warnings, "showwarning",
+                            lambda message, category, filename, lineno, file=None, line=None:
+                            sys.stderr.write(warnings.formatwarning(message, category, filename,
+                                                                    lineno, line)))
+        stderr = []
+        for n in (2, 1):
+            usable_cpus(monkeypatch, n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("default")
+                assert main(["evaluate", "attribute", "--representations",
+                             str(workspace / "fp" / "fingerprints.csv"), "--data",
+                             str(workspace / "data"), "--epochs", "20",
+                             "--out", str(tmp_path / f"cpus{n}")]) == 0
+            stderr.append(capsys.readouterr().err)
+        assert stderr[0] == stderr[1]
+        kinds = [line.split(": ")[2].split()[0] for line in stderr[0].splitlines()
+                 if "UserWarning" in line]
+        assert kinds == ["MLP"] * 3 + ["Shapley"] * len(load_dataset(workspace / "data"))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

@@ -294,7 +294,7 @@ class TestDrawAhead:
     @pytest.mark.parametrize("name", ["wide", "wide-planted"])
     def test_one_and_two_cpus_give_the_pinned_cohort(self, monkeypatch, name):
         cfg, digest = PINNED_COHORTS[name]
-        for n, threads in ((1, []), (2, ["cograca-draw"])):
+        for n, threads in ((1, []), (2, ["cograca-lane"])):
             usable_cpus(monkeypatch, n)
             _Recorded.threads = []
             assert _cohort_digest(*generate_synthetic(cfg)) == digest
@@ -310,7 +310,7 @@ class TestDrawAhead:
             written.append({p.name: p.read_bytes() for p in sorted(root.iterdir())})
         assert written[0] == written[1]
         assert _file_digests(tmp_path / "cpus2", PINNED_WIDE_FILES) == PINNED_WIDE_FILES
-        assert _Recorded.started() == ["cograca-draw"]
+        assert _Recorded.started() == ["cograca-lane"]
 
     def test_fast_thread_switching_keeps_the_pinned_cohort(self, monkeypatch):
         # a chunk refilled while the caller still reads it would change the digest
@@ -322,7 +322,7 @@ class TestDrawAhead:
             assert _cohort_digest(*generate_synthetic(cfg)) == digest
         finally:
             sys.setswitchinterval(interval)
-        assert _Recorded.started() == ["cograca-draw"]
+        assert _Recorded.started() == ["cograca-lane"]
 
     @pytest.mark.parametrize("visits_per_chunk", [1, 7])
     def test_chunk_size_does_not_change_a_draw(self, monkeypatch, visits_per_chunk):
@@ -330,7 +330,7 @@ class TestDrawAhead:
         cfg, digest = PINNED_COHORTS["default"]
         per_visit = cfg.rois ** 2 + cfg.latent_dim + cfg.d_cog
         monkeypatch.setattr(data, "_DRAW_CHUNK_BYTES", 8 * per_visit * visits_per_chunk)
-        for n, threads in ((1, []), (2, ["cograca-draw"])):
+        for n, threads in ((1, []), (2, ["cograca-lane"])):
             usable_cpus(monkeypatch, n)
             _Recorded.threads = []
             assert _cohort_digest(*generate_synthetic(cfg)) == digest
@@ -355,7 +355,7 @@ class TestDrawAhead:
         monkeypatch.setattr(data, "write_matrix_csv", failing_write)
         with pytest.raises(OSError, match="No space left"):
             synthesize_to_disk(self.WIDE, tmp_path)
-        assert _Recorded.started() == ["cograca-draw"]
+        assert _Recorded.started() == ["cograca-lane"]
         assert writes[0] == 100
 
     @pytest.mark.parametrize("at", [0, 3])
@@ -369,7 +369,7 @@ class TestDrawAhead:
             with pytest.raises(MemoryError) as caught:
                 call(self.WIDE)
             assert caught.value is error
-            assert _Recorded.started() == ["cograca-draw"]
+            assert _Recorded.started() == ["cograca-lane"]
 
     @pytest.mark.parametrize("argv", [["synth"], ["synth", "--subjects", "40", "--rois", "100"]],
                              ids=["default", "wide"])

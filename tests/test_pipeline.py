@@ -3,13 +3,11 @@ import dataclasses
 import os
 import pickle
 import signal
-import subprocess
 import sys
 import threading
 import time
 import warnings
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,43 +427,11 @@ class TestFoldMap:
             return [[m.loss_trace.tobytes(), m.solution.r.tobytes(),
                      *(a.tobytes() for a in m.params.as_dict().values())] for m in trained]
 
-        def draws():
-            return fold_map(lambda i: np.random.default_rng(i).standard_normal(i + 1), range(7))
-
         outcomes = []
         for n in (1, 2, 3):
             usable_cpus(monkeypatch, n)
-            outcomes.append((models(), [d.tobytes() for d in draws()]))
+            outcomes.append(models())
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
-        assert _no_child_left()
-
-    @pytest.mark.parametrize("cpus, items", [(1, 3), (3, 1)])
-    def test_one_cpu_or_one_item_forks_nothing(self, monkeypatch, cpus, items):
-        usable_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(os, "fork", None)
-        assert fold_map(lambda i: i * i, range(items)) == [i * i for i in range(items)]
-
-    def test_no_affinity_runs_in_the_caller(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "fork", None)
-        pids = fold_map(lambda _: os.getpid(), range(3))
-        assert pids == [os.getpid()] * 3
-
-    def test_serial_path_imports_nothing(self):
-        code = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
-                "from cograca.pipeline import fold_map; before = set(sys.modules); "
-                "assert fold_map(abs, [1, -2, 3]) == [1, 2, 3]; "
-                "print(sorted(set(sys.modules) - before))")
-        src = str(Path(cograca.pipeline.__file__).parents[1])
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=src), check=True)
-        assert proc.stdout == "[]\n"
-
-    def test_items_run_in_workers(self, monkeypatch):
-        usable_cpus(monkeypatch, 2)
-        pids = fold_map(lambda _: os.getpid(), range(4))
-        assert os.getpid() not in pids
-        assert pids[0] == pids[2] != pids[1] == pids[3]  # worker k takes items k, k + 2
         assert _no_child_left()
 
     @pytest.mark.parametrize("error", [ValueError("bad item 3"), *PACKAGE_ERRORS],
