@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lanes
 from .data import VisitRecord
 from .gcca import _row_stats
 from .numerics import _derive_seed, _lead_signs, gram_svd, sym_eig
-from .pipeline import FoldSplit, fold_map, fold_splits, out_of_fold
+from .pipeline import FoldSplit, fold_splits, out_of_fold
 
 __all__ = [
     "LinearReducer",
@@ -314,8 +315,8 @@ def baseline_pipeline(
     """Fit one baseline per fold on the training visits and represent the
     fold's test visits. The folds may be any list of test folds (one
     held-out fold is enough); they need not partition the visits. The fMRI
-    fits run by fold_map (one forked worker per usable CPU, each holding one
-    fold's training rows; see `lanes.forks`). fMRI features
+    fits run on the fork lanes (`lanes.forks`: one forked worker per usable
+    CPU, each holding one fold's training rows). fMRI features
     are the vectorized thresholded connectivity. FastICA folds that stop at
     the iteration limit are reported in one warning with their count."""
     if kind not in BASELINE_KINDS:
@@ -338,7 +339,7 @@ def baseline_pipeline(
         # one non-convergence warning for the whole call, not one per fold
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message="FastICA did not converge")
-            fits = fold_map(fit, splits)
+            fits = list(lanes.forks(fit, splits))
         stalled = sum(not red.converged for red, _, _ in fits)
         if stalled:
             warnings.warn(

@@ -17,11 +17,12 @@ import os
 import sys
 import time
 from dataclasses import fields
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, lanes
 from .baselines import BASELINE_KINDS, baseline_pipeline, out_of_fold_matrix
 from .data import (
     DataValidationError,
@@ -50,7 +51,6 @@ from .pipeline import (
     NonFiniteLossError,
     TrainConfig,
     cross_validate,
-    fold_map,
     fold_splits,
     make_subject_folds,
     out_of_fold_fingerprints,
@@ -157,6 +157,21 @@ def _training_split(args) -> tuple[list, list[np.ndarray], int]:
     records = load_dataset(Path(args.data))
     folds = make_subject_folds([r.subject_id for r in records], config["folds"], config["seed"])
     return records, folds, config["seed"]
+
+
+def _fold_model(args, records, split: FoldSplit):
+    """The fold model of the train run at --run for `split`, which must have
+    trained on exactly the split's training visits of `records`, in order:
+    a --data other than the training data would leak held-out visits."""
+    path = Path(args.run) / f"fold_{split.fold}.cgmodel"
+    model = load_model(path)
+    want = [(records[i].subject_id, records[i].visit) for i in split.train_indices]
+    for j, (got, key) in enumerate(zip_longest(model.train_keys, want, fillvalue="no visit")):
+        if got != key:
+            raise DataValidationError(
+                f"{path}: not trained on --data's fold {split.fold} training visits; "
+                f"training visit {j} is {key} in --data but {got} in the model")
+    return model
 
 
 def rebuild_argv(record: dict, out: str) -> list[str]:
@@ -417,9 +432,7 @@ def _cmd_train(args, out: Path) -> dict:
 
 def _cmd_fingerprint(args, out: Path) -> dict:
     records, folds, seed = _training_split(args)
-    models = [
-        load_model(Path(args.run) / f"fold_{k}.cgmodel") for k in range(len(folds))
-    ]
+    models = [_fold_model(args, records, split) for split in fold_splits(folds, len(records))]
     fps, fold_of = out_of_fold_fingerprints(folds, models, records, mode=args.mode)
     values = np.stack([fp.values for fp in fps])
     _write_representations(
@@ -546,10 +559,10 @@ def _cmd_evaluate_attribute(args, out: Path) -> dict:
     # fold, then attribute its visits) would meet it: after the visits of
     # every earlier fold.
     splits = _folds_from_column(fold_of)
-    fitted = fold_map(fit, splits)
+    fitted = list(lanes.forks(fit, splits))
     failed = next((k for k, (_, error) in enumerate(fitted) if error is not None), len(splits))
     items = [(k, i) for k in range(failed) for i in splits[k].test_indices]
-    phis = fold_map(attribute, items)
+    phis = list(lanes.forks(attribute, items))
     if failed < len(splits):
         raise fitted[failed][1]
     rows = []
@@ -586,8 +599,8 @@ def _cmd_evaluate_interpret(args, out: Path) -> dict:
     records, folds, _ = _training_split(args)
     if not 0 <= args.fold < len(folds):
         raise DataValidationError(f"--fold must lie in [0, {len(folds)})")
-    model = load_model(Path(args.run) / f"fold_{args.fold}.cgmodel")
     split = fold_splits(folds, len(records))[args.fold]
+    model = _fold_model(args, records, split)
     tables = interpret_components(model, [records[i] for i in split.train_indices], components)
     write_csv(
         out / "cognitive_loadings.csv",

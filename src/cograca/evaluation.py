@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import lanes
 from .encoder import encode_blocks
 from .numerics import (
     AdamState,
@@ -25,7 +26,7 @@ from .numerics import (
     mann_whitney_u,
     wasserstein_1d,
 )
-from .pipeline import TrainedModel, _stack_records, fold_map, fold_splits, out_of_fold
+from .pipeline import TrainedModel, _stack_records, fold_splits, out_of_fold
 
 __all__ = [
     "SimilarityReport",
@@ -261,7 +262,7 @@ def cross_validated_bacc(
 
     Per repeat, one classifier is trained per fold on that fold's complement
     and the pooled held-out predictions are scored once. All repeats x folds
-    fits are one fold_map on the fork lanes (`lanes.forks`); each fit's
+    fits are one map on the fork lanes (`lanes.forks`); each fit's
     seed depends on its repeat and fold alone. The folds must partition
     the visits (see out_of_fold). Returns the per-repeat balanced
     accuracies.
@@ -282,7 +283,7 @@ def cross_validated_bacc(
             epochs=epochs,
         ).predict(representations[s.test_indices])
 
-    predictions = fold_map(predict, [(rep, s) for rep in range(repeats) for s in splits])
+    predictions = list(lanes.forks(predict, [(rep, s) for rep in range(repeats) for s in splits]))
     k = len(splits)
     return np.array([
         balanced_accuracy(out_of_fold(splits, predictions[rep * k:(rep + 1) * k], n)[0], labels)

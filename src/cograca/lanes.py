@@ -195,7 +195,7 @@ def _fork_lanes(fn, items, cpus, results):
             try:
                 blob = pickle.dumps((caught, error, value), pickle.HIGHEST_PROTOCOL)
             except Exception as exc:
-                error = RuntimeError(f"fold_map item {index}: its outcome does not pickle "
+                error = RuntimeError(f"forked item {index}: its outcome does not pickle "
                                      f"({type(exc).__name__}: {exc}); it raised {error!r}")
                 blob = pickle.dumps(([], error, None), pickle.HIGHEST_PROTOCOL)
             view = memoryview(struct.pack("<Q", len(blob)) + blob)
@@ -227,7 +227,7 @@ def _fork_lanes(fn, items, cpus, results):
                     index = lane + reported[lane] * lanes
                     if index < len(items):
                         results[index] = [], RuntimeError(
-                            f"fold_map item {index}: its worker exited with status {code} "
+                            f"forked item {index}: its worker exited with status {code} "
                             "without reporting a result"), None
 
     try:

@@ -38,7 +38,6 @@ __all__ = [
     "make_subject_folds",
     "FoldSplit",
     "fold_splits",
-    "fold_map",
     "out_of_fold",
     "train_model",
     "compute_fingerprints",
@@ -185,12 +184,6 @@ def fold_splits(folds, n_visits: int, fold_ids=None) -> list[FoldSplit]:
         train[test] = False
         splits.append(FoldSplit(int(fold_id), np.flatnonzero(train), test))
     return splits
-
-
-def fold_map(fn, items) -> list:
-    """[fn(item) for item in items], run by `lanes.forks` on one forked
-    worker per usable CPU, with the serial run's warnings and first failure."""
-    return list(lanes.forks(fn, items))
 
 
 def out_of_fold(splits, per_fold, n_visits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -394,20 +387,20 @@ def compute_fingerprints(
 def cross_validate(
     records: list[VisitRecord], cfg: TrainConfig
 ) -> tuple[list[np.ndarray], list[TrainedModel]]:
-    """Train one model per fold on that fold's complement, the folds run by
-    fold_map on the fork lanes (`lanes.forks`).
+    """Train one model per fold on that fold's complement, the folds run on
+    the fork lanes (`lanes.forks`).
 
     Fold assignment and per-fold seeds derive deterministically from
     cfg.seed, so reruns reproduce the same models.
     """
     folds = make_subject_folds([r.subject_id for r in records], cfg.folds, cfg.seed)
-    models = fold_map(
+    models = list(lanes.forks(
         lambda split: train_model(
             [records[i] for i in split.train_indices],
             replace(cfg, seed=_derive_seed(cfg.seed, split.fold)),
         ),
         fold_splits(folds, len(records)),
-    )
+    ))
     return folds, models
 
 

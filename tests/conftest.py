@@ -1,12 +1,16 @@
 import itertools
 import json
 import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from cograca.contrastive import ZeroNormError
 from cograca.encoder import encode_batch
+from cograca.pipeline import DeadVisitError, NonFiniteLossError
 
 settings.register_profile(
     "cograca",
@@ -110,13 +114,51 @@ def dead_visit_encoder(row: int, epoch: int):
 
 
 def usable_cpus(monkeypatch, n: int) -> None:
-    """Make fold_map and the encoder lanes see n usable CPUs, whatever the
+    """Make every lane (`cograca.lanes`) see n usable CPUs, whatever the
     host has: the affinity they read is patched to n CPUs, and a forked
     worker's pin narrows its own copy of it to one."""
     mask = [set(range(n))]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask[0]), raising=False)
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: mask.__setitem__(0, set(cpus)),
                         raising=False)
+
+
+def nothing_left() -> bool:
+    """No lane thread is alive and no child is left to reap."""
+    if any(t.name == "cograca-lane" for t in threading.enumerate()):
+        return False
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+# one of each exception the package raises with attributes of its own
+PACKAGE_ERRORS = [
+    NonFiniteLossError(3, (1.0, float("nan"), 2.0)),
+    NonFiniteLossError(0, stage="embedding"),
+    DeadVisitError(2, "s004", 1),
+    ZeroNormError("embedding", "s001", 2),
+]
+
+
+def same_error(got, want) -> bool:
+    # repr, not ==: a NaN loss term is never equal to itself
+    return (type(got) is type(want) and str(got) == str(want)
+            and repr(vars(got)) == repr(vars(want)))
+
+
+def traced_peak(fn, *args) -> tuple[int, object]:
+    """The tracemalloc peak of fn(*args), over all threads, in bytes above
+    the memory traced when it starts, and fn's result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -21,7 +21,9 @@ from cograca.data import SyntheticConfig, generate_synthetic, load_dataset, load
 from cograca.numerics import _derive_seed
 from cograca.pipeline import TrainConfig
 
-from conftest import dead_visit_encoder, rewrite_model_header, usable_cpus, with_array_shape
+from conftest import (
+    dead_visit_encoder, nothing_left, rewrite_model_header, usable_cpus, with_array_shape,
+)
 
 HERE = Path(__file__).parent
 SRC = str(Path(cograca.__file__).parents[1])
@@ -439,6 +441,22 @@ class TestFingerprint:
                               "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
         assert err.startswith(f"cograca: error[4]: {run / 'run.json'}: ")
+
+    @pytest.mark.parametrize("command", ["fingerprint", "interpret"])
+    def test_data_other_than_the_training_data_exit_4(self, workspace, tmp_path, capsys,
+                                                        command):
+        # the run's folds rebuilt over a smaller cohort hold other visits, so a
+        # fold model would score visits it trained on as held out
+        data = tmp_path / "data"
+        assert main(SYNTH_ARGS + ["--subjects", "8", "--out", str(data)]) == 0
+        capsys.readouterr()
+        prefix = ["fingerprint"] if command == "fingerprint" else ["evaluate", "interpret"]
+        assert main(prefix + ["--data", str(data), "--run", str(workspace / "run"),
+                              "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == (
+            f"cograca: error[4]: {workspace / 'run' / 'fold_0.cgmodel'}: not trained on "
+            "--data's fold 0 training visits; training visit 0 is ('s000', 1) in --data but "
+            "('s001', 1) in the model\n")
 
     def test_directory_as_model_file_exit_3(self, workspace, tmp_path, capsys):
         run = tmp_path / "run"
@@ -872,8 +890,7 @@ class TestForkedFolds:
         assert main(argv) == 5
         assert capsys.readouterr().err == forked
         assert forked.startswith("cograca: error[5]: dead visit at epoch 2:")
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert nothing_left()
 
     def test_attribute_warnings_on_two_cpus_match_one(self, workspace, tmp_path, capsys,
                                                       monkeypatch):
@@ -910,5 +927,4 @@ class TestForkedFolds:
         kinds = [line.split(": ")[2].split()[0] for line in stderr[0].splitlines()
                  if "UserWarning" in line]
         assert kinds == ["MLP"] * 3 + ["Shapley"] * len(load_dataset(workspace / "data"))
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert nothing_left()

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from cograca.data import (
 )
 from cograca.pipeline import TrainConfig, train_model
 
-from conftest import random_connectivity, rewrite_model_header, usable_cpus, with_array_shape
+from conftest import rewrite_model_header, traced_peak, usable_cpus, with_array_shape
 
 SRC = str(Path(cograca.__file__).parents[1])
 
@@ -146,17 +145,6 @@ def _cohort_bytes(records) -> int:
     return sum(r.graph.adjacency.nbytes + r.cognition.nbytes for r in records)
 
 
-def _traced_peak(fn, *args) -> tuple[int, object]:
-    """tracemalloc's peak, in bytes above the call's entry, and fn's result."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base, result
-    finally:
-        tracemalloc.stop()
-
-
 # sha256 digests of generated cohorts and `synth` files: the generator's draw
 # order is part of its contract, so no refactor of it may move a byte
 PINNED_COHORTS = {
@@ -228,11 +216,11 @@ class TestGeneratorMemory:
     CFG = SyntheticConfig(subjects=300, rois=60)
 
     def test_generate_peak_is_one_cohort(self):
-        peak, (records, _) = _traced_peak(generate_synthetic, self.CFG)
+        peak, (records, _) = traced_peak(generate_synthetic, self.CFG)
         assert peak <= 1.25 * _cohort_bytes(records)
 
     def test_synthesize_peak_is_one_cohort(self, tmp_path):
-        peak, (records, _) = _traced_peak(synthesize_to_disk, self.CFG, tmp_path)
+        peak, (records, _) = traced_peak(synthesize_to_disk, self.CFG, tmp_path)
         assert peak <= 1.25 * _cohort_bytes(records)
 
 
@@ -256,24 +244,6 @@ class _Recorded(threading.Thread):
         """The names of the threads started, none of which may be alive."""
         assert not any(t.is_alive() for t in cls.threads)
         return [t.name for t in cls.threads]
-
-
-_REAL_DEFAULT_RNG = np.random.default_rng
-
-
-class _FailingRng:
-    """A generator from `seed` whose standard_normal raises `error` on its
-    call number `at` (counting from 0); normal is the real generator's."""
-
-    def __init__(self, seed, error, at):
-        self._rng, self.error, self.at = _REAL_DEFAULT_RNG(seed), error, at
-        self.normal = self._rng.normal
-
-    def standard_normal(self, *args, **kwargs):
-        self.at -= 1
-        if self.at < 0:
-            raise self.error
-        return self._rng.standard_normal(*args, **kwargs)
 
 
 class TestDrawAhead:
@@ -357,19 +327,6 @@ class TestDrawAhead:
             synthesize_to_disk(self.WIDE, tmp_path)
         assert _Recorded.started() == ["cograca-lane"]
         assert writes[0] == 100
-
-    @pytest.mark.parametrize("at", [0, 3])
-    def test_producer_error_reaches_the_caller_unchanged(self, monkeypatch, tmp_path, at):
-        usable_cpus(monkeypatch, 2)
-        error = MemoryError("no room for a chunk")
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: _FailingRng(seed, error, at))
-        for call in (generate_synthetic, lambda cfg: synthesize_to_disk(cfg, tmp_path)):
-            _Recorded.threads = []
-            with pytest.raises(MemoryError) as caught:
-                call(self.WIDE)
-            assert caught.value is error
-            assert _Recorded.started() == ["cograca-lane"]
 
     @pytest.mark.parametrize("argv", [["synth"], ["synth", "--subjects", "40", "--rois", "100"]],
                              ids=["default", "wide"])

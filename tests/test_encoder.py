@@ -1,7 +1,6 @@
 import os
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,9 @@ from cograca.encoder import (
 from cograca.evaluation import interpret_components
 from cograca.pipeline import TrainConfig, train_model
 
-from conftest import finite_difference, random_connectivity, relative_error, usable_cpus
+from conftest import (
+    finite_difference, nothing_left, random_connectivity, relative_error, traced_peak, usable_cpus,
+)
 
 
 class TestBuildGraph:
@@ -433,22 +434,6 @@ def _cache_bytes(caches):
     return sum({id(a): a.nbytes for layer in caches for a in layer}.values())
 
 
-def _lane_threads():
-    return [t.name for t in threading.enumerate() if t.name.startswith("cograca-lane")]
-
-
-def _traced_peak(fn, *args):
-    """The tracemalloc peak of fn(*args), over all threads, above the
-    memory traced when it starts."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 class TestVisitBlocks:
     @pytest.fixture(scope="class")
     def case(self):
@@ -559,33 +544,6 @@ class TestVisitBlocks:
         assert model.solution.r.tobytes() == serial.solution.r.tobytes()
         assert model.loss_trace.tobytes() == serial.loss_trace.tobytes()
 
-    @pytest.mark.parametrize("where", ["forward", "recompute", "reverse"])
-    def test_worker_exception_reaches_the_caller_unchanged(self, case, monkeypatch, where):
-        params, graphs, d_pooled = case
-        _, _, _, caches = encode_batch(params, graphs)
-        error = RuntimeError("a worker's block failed")
-        name = "_block_vjp" if where == "reverse" else "_block_forward"
-        inner = getattr(encoder, name)
-
-        worker_failed = threading.Event()
-
-        def fail_off_the_caller(*args):
-            if threading.current_thread() is threading.main_thread():
-                worker_failed.wait(timeout=60)  # leave the other blocks to the workers
-                return inner(*args)
-            worker_failed.set()
-            raise error
-
-        monkeypatch.setattr(encoder, name, fail_off_the_caller)
-        usable_cpus(monkeypatch, 3)
-        with pytest.raises(RuntimeError) as raised:
-            if where == "forward":
-                encode_batch(params, graphs)
-            else:
-                encode_batch_vjp(params, graphs, caches, d_pooled)
-        assert raised.value is error
-        assert not _lane_threads()  # the workers stopped before it was raised
-
     def test_many_lanes_on_one_block_per_visit_under_fast_switching(self, case, monkeypatch):
         # 30 one-visit blocks on 4 lanes, whatever the CPU count, with the
         # interpreter switching threads every microsecond: a block writing
@@ -624,14 +582,14 @@ class TestVisitBlocks:
         records, cfg, _ = trained
         usable_cpus(monkeypatch, 2)
         train_model(records, cfg)
-        assert not _lane_threads()
+        assert nothing_left()
 
     @pytest.mark.parametrize("lanes", [1, 2, 3])
     def test_forward_peak_is_one_block_per_lane(self, case, monkeypatch, lanes):
         params, graphs, _ = case
         block = _cache_bytes(encode_batch(params, graphs[:13])[3])
         usable_cpus(monkeypatch, lanes)
-        assert _traced_peak(encode_batch, params, graphs) <= (lanes + 1) * block
+        assert traced_peak(encode_batch, params, graphs)[0] <= (lanes + 1) * block
 
     @pytest.mark.parametrize("lanes", [2, 3])
     def test_reverse_peak_is_one_block_per_lane(self, case, monkeypatch, lanes):
@@ -642,10 +600,10 @@ class TestVisitBlocks:
         block = _cache_bytes(encode_batch(params, graphs[:13])[3])
         _, _, _, caches = encode_batch(params, graphs)
         usable_cpus(monkeypatch, 1)
-        serial = _traced_peak(encode_batch_vjp, params, graphs, caches, d_pooled)
+        serial = traced_peak(encode_batch_vjp, params, graphs, caches, d_pooled)[0]
         assert serial <= 2 * block
         usable_cpus(monkeypatch, lanes)
-        peak = _traced_peak(encode_batch_vjp, params, graphs, caches, d_pooled)
+        peak = traced_peak(encode_batch_vjp, params, graphs, caches, d_pooled)[0]
         assert peak <= 1.05 * lanes * serial, peak / serial
 
     def test_interpretation_mean_attention_is_whole_batch_mean(self, trained):

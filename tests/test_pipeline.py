@@ -1,11 +1,6 @@
 import copy
 import dataclasses
-import os
 import pickle
-import signal
-import sys
-import threading
-import time
 import warnings
 from collections import Counter
 
@@ -13,12 +8,9 @@ import numpy as np
 import pytest
 
 import cograca.pipeline
-from cograca import encoder
-from cograca.contrastive import (
-    ContrastiveConfig, ZeroNormError, individualized_loss, multimodal_loss,
-)
+from cograca.contrastive import ContrastiveConfig, individualized_loss, multimodal_loss
 from cograca.data import SyntheticConfig, generate_synthetic
-from cograca.encoder import EncoderParams, build_graph, encode_batch
+from cograca.encoder import EncoderParams
 from cograca.gcca import corr_loss, preprocess_views
 from cograca.pipeline import (
     DeadVisitError,
@@ -30,7 +22,6 @@ from cograca.pipeline import (
     _step,
     compute_fingerprints,
     cross_validate,
-    fold_map,
     fold_splits,
     make_subject_folds,
     out_of_fold,
@@ -39,8 +30,8 @@ from cograca.pipeline import (
 )
 
 from conftest import (
-    NON_PARTITION, damaged_folds, dead_visit_encoder, finite_difference, random_connectivity,
-    relative_error, usable_cpus,
+    NON_PARTITION, PACKAGE_ERRORS, damaged_folds, dead_visit_encoder, finite_difference,
+    nothing_left, relative_error, same_error, usable_cpus,
 )
 
 COHORT = SyntheticConfig(subjects=10, rois=12, d_cog=8, latent_dim=4, seed=5)
@@ -383,44 +374,6 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match=NON_PARTITION[damage]):
             out_of_fold_fingerprints(damaged_folds(folds, damage), models, records)
 
-    def test_fold_seeds_differ(self):
-        seeds = {_derive_seed(0, k) for k in range(5)}
-        assert len(seeds) == 5
-        assert _derive_seed(0, 1) == _derive_seed(0, 1)
-
-
-# ---- fold_map: fold jobs on one forked worker per usable CPU
-
-PACKAGE_ERRORS = [
-    NonFiniteLossError(3, (1.0, float("nan"), 2.0)),
-    NonFiniteLossError(0, stage="embedding"),
-    DeadVisitError(2, "s004", 1),
-    ZeroNormError("embedding", "s001", 2),
-]
-
-
-def _same_error(got, want) -> bool:
-    # repr, not ==: a NaN loss term is never equal to itself
-    return (type(got) is type(want) and str(got) == str(want)
-            and repr(vars(got)) == repr(vars(want)))
-
-
-def _no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
-@pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda e: type(e).__name__)
-@pytest.mark.parametrize("clone", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy],
-                         ids=["pickle", "copy"])
-def test_package_exceptions_round_trip(error, clone):
-    assert _same_error(clone(error), error)
-
-
-class TestFoldMap:
     def test_results_identical_for_one_two_and_three_cpus(self, records, monkeypatch):
         def models():
             _, trained = cross_validate(records, TINY_TRAIN)
@@ -432,143 +385,16 @@ class TestFoldMap:
             usable_cpus(monkeypatch, n)
             outcomes.append(models())
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
-        assert _no_child_left()
+        assert nothing_left()
 
-    @pytest.mark.parametrize("error", [ValueError("bad item 3"), *PACKAGE_ERRORS],
-                             ids=lambda e: type(e).__name__)
-    def test_first_failing_item_raises_in_the_caller(self, monkeypatch, error):
-        # on two workers item 4 fails first in time, but item 3 comes first in order
-        def job(i):
-            if i == 3:
-                time.sleep(0.2)
-                raise error
-            if i == 4:
-                raise KeyError("a later item")
-            return i
+    def test_fold_seeds_differ(self):
+        seeds = {_derive_seed(0, k) for k in range(5)}
+        assert len(seeds) == 5
+        assert _derive_seed(0, 1) == _derive_seed(0, 1)
 
-        usable_cpus(monkeypatch, 2)
-        with pytest.raises(type(error)) as raised:
-            fold_map(job, range(6))
-        assert _same_error(raised.value, error)
-        assert _no_child_left()
 
-    def test_warnings_come_back_in_item_order(self, monkeypatch):
-        # later items finish first; each item warns twice, and once with a
-        # text every item shares, which the default filter shows once
-        def job(i):
-            time.sleep(0.05 * (5 - i))
-            warnings.warn(f"item {i}")
-            warnings.warn(f"item {i} again", RuntimeWarning)
-            warnings.warn("shared by every item")
-            return i
-
-        def run(n):
-            usable_cpus(monkeypatch, n)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("default")
-                assert fold_map(job, range(5)) == list(range(5))
-            return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-
-        serial = run(1)
-        assert run(3) == serial
-        assert [m for m, *_ in serial][:4] == ["item 0", "item 0 again", "shared by every item",
-                                               "item 1"]
-        assert len(serial) == 11 and {f for _, _, f, _ in serial} == {__file__}
-
-    def test_failing_item_keeps_earlier_warnings_only(self, monkeypatch):
-        def job(i):
-            warnings.warn(f"item {i}")
-            if i == 2:
-                raise ValueError("item 2")
-            return i
-
-        usable_cpus(monkeypatch, 3)
-        with warnings.catch_warnings(record=True) as caught, pytest.raises(ValueError):
-            warnings.simplefilter("always")
-            fold_map(job, range(6))
-        assert [str(w.message) for w in caught] == ["item 0", "item 1", "item 2"]
-
-    def test_warning_filters_apply_in_workers(self, monkeypatch):
-        # a warning the caller turns into an error fails its item, as it would serially
-        def job(i):
-            warnings.warn(f"item {i}", RuntimeWarning)
-            return i
-
-        usable_cpus(monkeypatch, 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(RuntimeWarning, match="item 0"):
-                fold_map(job, range(4))
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert fold_map(job, range(4)) == list(range(4))
-
-    @pytest.mark.parametrize("death, status", [(lambda: os._exit(3), 3),
-                                               (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)])
-    def test_worker_that_dies_names_its_item(self, monkeypatch, death, status):
-        def job(i):
-            if i == 1:
-                death()
-            return i
-
-        usable_cpus(monkeypatch, 2)
-        with pytest.raises(RuntimeError, match=f"fold_map item 1: its worker exited with "
-                                               f"status {status} without reporting"):
-            fold_map(job, range(4))
-        assert _no_child_left()
-
-    def test_known_failure_stops_the_other_workers(self, monkeypatch):
-        def job(i):
-            if i == 0:
-                raise ValueError("item 0")
-            time.sleep(60)
-
-        usable_cpus(monkeypatch, 2)
-        start = time.monotonic()
-        with pytest.raises(ValueError, match="item 0"):
-            fold_map(job, range(2))
-        assert time.monotonic() - start < 30
-        assert _no_child_left()
-
-    def test_results_larger_than_a_pipe_buffer(self, monkeypatch):
-        usable_cpus(monkeypatch, 3)
-        big = fold_map(lambda i: np.arange(i, i + 1_000_000, dtype=np.float64), range(5))
-        assert all(np.array_equal(b, np.arange(i, i + 1_000_000)) for i, b in enumerate(big))
-        assert _no_child_left()
-
-    def test_workers_write_nothing(self, capfd, monkeypatch):
-        def job(i):
-            print(f"stdout {i}")
-            print(f"stderr {i}", file=sys.stderr)
-            os.write(2, b"raw stderr")
-            return i
-
-        usable_cpus(monkeypatch, 2)
-        assert fold_map(job, range(3)) == [0, 1, 2]
-        assert capfd.readouterr() == ("", "")
-
-    @pytest.mark.parametrize("host", ["real", "patched"])
-    def test_nested_encoder_lanes_run_on_one_cpu(self, monkeypatch, host):
-        # one visit per block: ten blocks, which lanes would share on more CPUs
-        if host == "patched":
-            usable_cpus(monkeypatch, 3)
-        elif len(os.sched_getaffinity(0)) < 2:
-            pytest.skip("needs two usable CPUs")
-        rng = np.random.default_rng(0)
-        graphs = [build_graph(random_connectivity(rng, 10)) for _ in range(10)]
-        params = EncoderParams.init(10, 5, 3, rng)
-        monkeypatch.setattr(encoder, "_BLOCK_BYTES", 8 * 10 * 10)
-        inner = encoder._block_forward
-        lanes = []
-        monkeypatch.setattr(encoder, "_block_forward",
-                            lambda *args: lanes.append(threading.current_thread().name)
-                            or inner(*args))
-
-        def job(_):
-            lanes.clear()
-            pooled = encode_batch(params, graphs)[0]
-            return os.sched_getaffinity(0), set(lanes), len(lanes), pooled.tobytes()
-
-        (cpus0, lanes0, n0, pooled0), (cpus1, *rest) = fold_map(job, range(2))
-        assert len(cpus0) == len(cpus1) == 1 and cpus0 != cpus1
-        assert (lanes0, n0) == ({"MainThread"}, 10) and rest[:2] == [{"MainThread"}, 10]
-        assert pooled0 == rest[2] == encode_batch(params, graphs)[0].tobytes()
+@pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize("clone", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy],
+                         ids=["pickle", "copy"])
+def test_package_exceptions_round_trip(error, clone):
+    assert same_error(clone(error), error)
