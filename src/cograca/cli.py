@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, lanes
-from .baselines import BASELINE_KINDS, baseline_pipeline, out_of_fold_matrix
+from .baselines import baseline_pipeline, out_of_fold_matrix
 from .data import (
     DataValidationError,
     SyntheticConfig,

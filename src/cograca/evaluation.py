@@ -16,12 +16,11 @@ import numpy as np
 from . import lanes
 from .encoder import encode_blocks
 from .numerics import (
-    AdamState,
     MannWhitneyResult,
+    _adam_update,
     _derive_seed,
     _softmax_xent,
     _unflatten,
-    adam_step,
     glorot,
     mann_whitney_u,
     wasserstein_1d,
@@ -146,29 +145,53 @@ def _elu(x: np.ndarray, out: np.ndarray | None = None,
     return out
 
 
-def _elu_grad(pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-    return np.where(pre > 0.0, 1.0, post + 1.0)
-
-
 _KEEP = 0.5  # dropout keep probability of both hidden layers
 _MLP_EPOCHS = 200  # default of train_mlp and of the cross-validated protocol over it
 
 
-def _mlp_forward(weights, x: np.ndarray, masks=None):
+def _forward_buffers(n: int) -> tuple:
+    """What _mlp_forward writes for n rows: per hidden layer an activation
+    and a scratch (the dropout output in training), then the logits."""
+    layers = tuple((np.empty((n, w)), np.empty((n, w))) for w in (64, 32))
+    return layers, np.empty((n, 2))
+
+
+def _mlp_forward(weights, x: np.ndarray, keep=None, work=None):
     """The 64/32 ELU forward pass over the w1..b3 entries of `weights`.
 
-    With dropout masks (one boolean array per hidden layer) each hidden
-    activation is masked and scaled by 1/keep, as in training; without them
-    it is the inference path. Returns the logits and the per-layer
-    (pre-activation, activation, layer output) caches the backward pass uses.
+    With dropout (`keep`, one array per hidden layer holding 1/keep where a
+    unit is kept and 0 where it is dropped) each hidden activation is
+    multiplied by its scaled mask, as in training; without it is the
+    inference path and a layer's output is its activation. Every array is
+    written into `work` (_forward_buffers of x's row count), which training
+    reuses each epoch; without it they are allocated. Returns the logits and
+    the per-layer (activation, layer output) caches the backward pass uses.
     """
-    pre1 = x @ weights["w1"] + weights["b1"]
-    act1 = _elu(pre1)
-    h1 = act1 if masks is None else act1 * masks[0] / _KEEP
-    pre2 = h1 @ weights["w2"] + weights["b2"]
-    act2 = _elu(pre2)
-    h2 = act2 if masks is None else act2 * masks[1] / _KEEP
-    return h2 @ weights["w3"] + weights["b3"], ((pre1, act1, h1), (pre2, act2, h2))
+    layers, logits = _forward_buffers(len(x)) if work is None else work
+    h, caches = x, []
+    for k, (act, out) in enumerate(layers):
+        np.matmul(h, weights[f"w{k + 1}"], out=act)
+        act += weights[f"b{k + 1}"]
+        _elu(act, out=act, scratch=out)
+        h = act if keep is None else np.multiply(act, keep[k], out=out)
+        caches.append((act, h))
+    np.matmul(h, weights["w3"], out=logits)
+    logits += weights["b3"]
+    return logits, tuple(caches)
+
+
+def _hidden_backward(d_next, w_next, act, h, keep) -> np.ndarray:
+    """The gradient wrt a dropout hidden layer's pre-activation, from d_next,
+    the gradient wrt the next layer's pre-activation. It is written over h,
+    whose weight gradient must be formed first, and act is overwritten by
+    the ELU derivative: 1 where pre > 0, that is where act = pre > 0, and
+    act + 1 elsewhere, which is min(act, 0) + 1 bit for bit."""
+    d = np.matmul(d_next, w_next.T, out=h)
+    d *= keep
+    np.minimum(act, 0.0, out=act)
+    act += 1.0
+    d *= act
+    return d
 
 
 def train_mlp(
@@ -181,7 +204,11 @@ def train_mlp(
     """Full-batch cross-entropy training of the fixed 64/32 architecture.
 
     Dropout masks and initialization come from the seed, so a (data, seed)
-    pair always yields the same classifier.
+    pair always yields the same classifier. A fit runs in a workspace
+    allocated once from the data's shape: each epoch draws both layers'
+    dropout in one call into an n x 96 buffer, runs both passes in place
+    and steps the flat weights with the in-place Adam kernel, so memory
+    does not grow with `epochs`.
     """
     if epochs < 1:
         raise ValueError(f"MLP epochs must be at least 1, got {epochs}")
@@ -197,42 +224,43 @@ def train_mlp(
     rng = np.random.default_rng(seed)
     shapes = {"w1": (d, 64), "b1": (64,), "w2": (64, 32), "b2": (32,),
               "w3": (32, 2), "b3": (2,)}
-    # All six arrays live in one flat vector, so each epoch takes a single
-    # Adam step; Adam is elementwise, so this equals six per-array steps.
+    # All six arrays live in one flat vector, and their gradients in
+    # another, so each epoch takes a single Adam step; Adam is elementwise,
+    # so this equals six per-array steps.
     flat = np.concatenate([
         glorot(rng, d, 64).ravel(), np.zeros(64),
         glorot(rng, 64, 32).ravel(), np.zeros(32),
         glorot(rng, 32, 2).ravel(), np.zeros(2),
     ])
-    opt = AdamState.for_params(flat, lr=learning_rate)
+    weights = _unflatten(flat, shapes)
+    grad = np.empty_like(flat)
+    grads = _unflatten(grad, shapes)
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    adam_scratch = np.empty_like(flat), np.empty_like(flat)
+    # The generator fills in order, so one n x 96 draw is the n x 64 draw
+    # of the first layer's mask followed by the n x 32 draw of the second's.
+    draws = np.empty(n * 96)
+    keep = (draws[: n * 64].reshape(n, 64), draws[n * 64 :].reshape(n, 32))
+    work = _forward_buffers(n)
     onehot = np.eye(2, dtype=bool)[y]
     both_classes = np.ones_like(onehot)
-    for _ in range(epochs):
-        weights = _unflatten(flat, shapes)
-        mask1 = rng.random((n, 64)) < _KEEP
-        mask2 = rng.random((n, 32)) < _KEEP
-        logits, ((pre1, act1, h1), (pre2, act2, h2)) = _mlp_forward(
-            weights, x, (mask1, mask2)
-        )
+    for step in range(1, epochs + 1):
+        rng.random(out=draws)
+        np.less(draws, _KEEP, out=draws)
+        draws /= _KEEP  # x * (1 / keep) is exactly x / keep, and x * 0 the masked +-0
+        logits, ((act1, h1), (act2, h2)) = _mlp_forward(weights, x, keep, work)
         _, d_logits = _softmax_xent(logits, onehot, both_classes)
         d_logits /= n
-        grads = {
-            "w3": h2.T @ d_logits,
-            "b3": d_logits.sum(axis=0),
-        }
-        d_h2 = d_logits @ weights["w3"].T
-        d_act2 = d_h2 * mask2 / _KEEP
-        d_pre2 = d_act2 * _elu_grad(pre2, act2)
-        grads["w2"] = h1.T @ d_pre2
-        grads["b2"] = d_pre2.sum(axis=0)
-        d_h1 = d_pre2 @ weights["w2"].T
-        d_act1 = d_h1 * mask1 / _KEEP
-        d_pre1 = d_act1 * _elu_grad(pre1, act1)
-        grads["w1"] = x.T @ d_pre1
-        grads["b1"] = d_pre1.sum(axis=0)
-        grad_flat = np.concatenate([grads[k].ravel() for k in shapes])
-        flat, opt = adam_step(opt, flat, grad_flat)
-    return MlpClassifier(seed=seed, **_unflatten(flat, shapes))
+        np.matmul(h2.T, d_logits, out=grads["w3"])
+        d_logits.sum(axis=0, out=grads["b3"])
+        d_pre2 = _hidden_backward(d_logits, weights["w3"], act2, h2, keep[1])
+        np.matmul(h1.T, d_pre2, out=grads["w2"])
+        d_pre2.sum(axis=0, out=grads["b2"])
+        d_pre1 = _hidden_backward(d_pre2, weights["w2"], act1, h1, keep[0])
+        np.matmul(x.T, d_pre1, out=grads["w1"])
+        d_pre1.sum(axis=0, out=grads["b1"])
+        _adam_update(step, learning_rate, flat, grad, m, v, adam_scratch)
+    return MlpClassifier(seed=seed, **weights)
 
 
 def balanced_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:

@@ -195,8 +195,10 @@ def _fork_lanes(fn, items, cpus, results):
             try:
                 blob = pickle.dumps((caught, error, value), pickle.HIGHEST_PROTOCOL)
             except Exception as exc:
+                what = (f"it raised {error!r}" if error is not None
+                        else f"it returned a value of type {type(value).__name__}")
                 error = RuntimeError(f"forked item {index}: its outcome does not pickle "
-                                     f"({type(exc).__name__}: {exc}); it raised {error!r}")
+                                     f"({type(exc).__name__}: {exc}); {what}")
                 blob = pickle.dumps(([], error, None), pickle.HIGHEST_PROTOCOL)
             view = memoryview(struct.pack("<Q", len(blob)) + blob)
             while view:

@@ -277,10 +277,35 @@ class AdamState:
         return cls(step=0, m=np.zeros(shape), v=np.zeros(shape), lr=lr)
 
 
+def _adam_update(step: int, lr: float, params: np.ndarray, grads: np.ndarray,
+                 m: np.ndarray, v: np.ndarray, scratch) -> None:
+    """Adam update number `step` (from 1), in place on `params`, `m` and `v`;
+    `scratch` is two float arrays shaped like `params`. The arithmetic and
+    its order are those of the expression form, m = b1 m + (1 - b1) g,
+    v = b2 v + (1 - b2) g^2 and params -= (lr m_hat) / (sqrt(v_hat) + eps),
+    so every byte equals it."""
+    a, b = scratch
+    m *= _BETA1
+    np.multiply(grads, 1.0 - _BETA1, out=a)
+    m += a
+    np.square(grads, out=a)
+    a *= 1.0 - _BETA2
+    v *= _BETA2
+    v += a
+    np.divide(m, 1.0 - _BETA1**step, out=a)
+    a *= lr
+    np.divide(v, 1.0 - _BETA2**step, out=b)
+    np.sqrt(b, out=b)
+    b += _EPS
+    a /= b
+    params -= a
+
+
 def adam_step(
     state: AdamState, params: np.ndarray, grads: np.ndarray
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update. Pure: neither input is mutated."""
+    """One bias-corrected Adam update. Pure: neither input is mutated; it runs
+    `_adam_update` on copies of the parameters and moments."""
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape:
@@ -292,11 +317,11 @@ def adam_step(
             f"optimizer state shape {state.m.shape} does not match parameters {params.shape}"
         )
     t = state.step + 1
-    m = _BETA1 * state.m + (1.0 - _BETA1) * grads
-    v = _BETA2 * state.v + (1.0 - _BETA2) * grads**2
-    m_hat = m / (1.0 - _BETA1**t)
-    v_hat = v / (1.0 - _BETA2**t)
-    updated = params - state.lr * m_hat / (np.sqrt(v_hat) + _EPS)
+    updated = params.copy()
+    m = np.array(state.m, dtype=np.float64)
+    v = np.array(state.v, dtype=np.float64)
+    scratch = np.empty_like(updated), np.empty_like(updated)
+    _adam_update(t, state.lr, updated, grads, m, v, scratch)
     return updated, replace(state, step=t, m=m, v=v)
 
 

@@ -4,7 +4,6 @@ are named by criterion). Tolerances are pinned here and must not be loosened.
 """
 
 import dataclasses
-import itertools
 import json
 import time
 import warnings

@@ -9,6 +9,7 @@ from cograca.data import SyntheticConfig, generate_synthetic
 from cograca.evaluation import (
     _coalition_weights,
     _elu,
+    _hidden_backward,
     balanced_accuracy,
     cross_validated_bacc,
     interpret_components,
@@ -17,10 +18,10 @@ from cograca.evaluation import (
     similarity_analysis,
     train_mlp,
 )
-from cograca.numerics import AdamState, adam_step
+from cograca.numerics import AdamState, _softmax_xent, _unflatten, adam_step, glorot
 from cograca.pipeline import TrainConfig, train_model
 
-from conftest import NON_PARTITION, damaged_folds
+from conftest import NON_PARTITION, damaged_folds, traced_peak
 
 
 class TestSimilarity:
@@ -151,12 +152,93 @@ class TestMlp:
         assert clf.w3.shape == (32, 2)
 
 
+# ---- oracle: the allocating training loop the workspace replaced, with two
+# mask draws an epoch, the np.where ELU and its derivative, and pure adam_step
+
+def _reference_train_mlp(x, y, seed, epochs, learning_rate):
+    n, d = x.shape
+    rng = np.random.default_rng(seed)
+    shapes = {"w1": (d, 64), "b1": (64,), "w2": (64, 32), "b2": (32,),
+              "w3": (32, 2), "b3": (2,)}
+    flat = np.concatenate([
+        glorot(rng, d, 64).ravel(), np.zeros(64),
+        glorot(rng, 64, 32).ravel(), np.zeros(32),
+        glorot(rng, 32, 2).ravel(), np.zeros(2),
+    ])
+    opt = AdamState.for_params(flat, lr=learning_rate)
+    onehot = np.eye(2, dtype=bool)[y]
+
+    def elu(z):
+        return np.where(z > 0.0, z, np.expm1(np.minimum(z, 0.0)))
+
+    def elu_grad(pre, post):
+        return np.where(pre > 0.0, 1.0, post + 1.0)
+
+    for _ in range(epochs):
+        weights = _unflatten(flat, shapes)
+        mask1 = rng.random((n, 64)) < 0.5
+        mask2 = rng.random((n, 32)) < 0.5
+        pre1 = x @ weights["w1"] + weights["b1"]
+        act1 = elu(pre1)
+        h1 = act1 * mask1 / 0.5
+        pre2 = h1 @ weights["w2"] + weights["b2"]
+        act2 = elu(pre2)
+        h2 = act2 * mask2 / 0.5
+        logits = h2 @ weights["w3"] + weights["b3"]
+        _, d_logits = _softmax_xent(logits, onehot, np.ones_like(onehot))
+        d_logits /= n
+        grads = {
+            "w3": h2.T @ d_logits,
+            "b3": d_logits.sum(axis=0),
+        }
+        d_h2 = d_logits @ weights["w3"].T
+        d_act2 = d_h2 * mask2 / 0.5
+        d_pre2 = d_act2 * elu_grad(pre2, act2)
+        grads["w2"] = h1.T @ d_pre2
+        grads["b2"] = d_pre2.sum(axis=0)
+        d_h1 = d_pre2 @ weights["w2"].T
+        d_act1 = d_h1 * mask1 / 0.5
+        d_pre1 = d_act1 * elu_grad(pre1, act1)
+        grads["w1"] = x.T @ d_pre1
+        grads["b1"] = d_pre1.sum(axis=0)
+        grad_flat = np.concatenate([grads[k].ravel() for k in shapes])
+        flat, opt = adam_step(opt, flat, grad_flat)
+    return _unflatten(flat, shapes)
+
+
+class TestMlpWorkspace:
+    @pytest.mark.parametrize("d", [1, 16, 20])
+    @pytest.mark.parametrize("n", [3, 36, 300])
+    def test_weights_match_the_allocating_loop_bytewise(self, n, d):
+        rng = np.random.default_rng(1000 * n + d)
+        for epochs, learning_rate in itertools.product((1, 2, 200), (0.001, 0.1)):
+            x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-2, 2)
+            y = rng.permutation(np.arange(n) % 2)
+            seed = int(rng.integers(1 << 31))
+            clf = train_mlp(x, y, seed, epochs=epochs, learning_rate=learning_rate)
+            want = _reference_train_mlp(x, y, seed, epochs, learning_rate)
+            for name, array in want.items():
+                assert getattr(clf, name).tobytes() == array.tobytes(), (epochs, learning_rate, name)
+
+    @pytest.mark.parametrize("n", [36, 300])
+    def test_memory_does_not_grow_with_epochs(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 16))
+        y = np.arange(n) % 2
+        train_mlp(x, y, 0, epochs=2)  # warm numpy's lazy state outside the trace
+        short, _ = traced_peak(train_mlp, x, y, 0, 2)
+        long, _ = traced_peak(train_mlp, x, y, 0, 200)
+        assert long <= 1.05 * short, (short, long)
+
+
+_TINY = np.finfo(np.float64).smallest_subnormal
+ELU_SPECIALS = np.array([0.0, -0.0, _TINY, -_TINY, 1e-310, -1e-310, 1e-300, -1e-300,
+                         1.0, -1.0, 700.0, -700.0, 1e300, -1e300, np.inf, -np.inf])
+
+
 class TestMlpKernels:
     def test_elu_matches_where_form_bitwise(self):
-        tiny = np.finfo(np.float64).smallest_subnormal
-        specials = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 1e-300, -1e-300,
-                             1.0, -1.0, 700.0, -700.0, 1e300, -1e300, np.inf, -np.inf])
-        grid = np.concatenate([specials, np.linspace(-40.0, 40.0, 4000),
+        grid = np.concatenate([ELU_SPECIALS, np.linspace(-40.0, 40.0, 4000),
                                np.geomspace(1e-12, 1e12, 500), -np.geomspace(1e-12, 1e12, 500)])
         expect = np.where(grid > 0.0, grid, np.expm1(np.minimum(grid, 0.0)))
         assert _elu(grid).tobytes() == expect.tobytes()
@@ -167,6 +249,15 @@ class TestMlpKernels:
         buf = grid.copy()
         assert _elu(buf, out=buf) is buf
         assert buf.tobytes() == expect.tobytes()
+
+    def test_elu_derivative_matches_where_form_bitwise(self):
+        pre = np.concatenate([ELU_SPECIALS, np.linspace(-40.0, 40.0, 4000)]).reshape(-1, 2)
+        act = _elu(pre)
+        expect = np.where(pre > 0.0, 1.0, act + 1.0)
+        # with unit upstream gradients and keep masks the result is the derivative alone
+        got = _hidden_backward(np.ones((len(pre), 1)), np.ones((2, 1)), act.copy(),
+                               np.empty_like(pre), np.ones_like(pre))
+        assert got.tobytes() == expect.tobytes()
 
     def test_adam_on_concatenation_equals_per_array_steps(self, rng):
         shapes = [(6, 64), (64,), (64, 32), (32,), (32, 2), (2,)]

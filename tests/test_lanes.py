@@ -288,6 +288,23 @@ class TestForks:
         assert time.monotonic() - start < 30
         assert nothing_left()
 
+    def test_value_that_does_not_pickle_names_its_type(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"forked item 0: its outcome does not pickle "
+                                               r"\(.*\); it returned a value of type function$"):
+            list(lanes.forks(lambda i: (lambda: i), range(2)))
+        assert nothing_left()
+
+    def test_exception_that_does_not_pickle_is_named(self, monkeypatch):
+        def job(i):
+            raise ValueError(lambda: i)
+
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"forked item 0: its outcome does not pickle "
+                                               r"\(.*\); it raised ValueError\(<function "):
+            list(lanes.forks(job, range(2)))
+        assert nothing_left()
+
     def test_results_larger_than_a_pipe_buffer(self, monkeypatch):
         usable_cpus(monkeypatch, 3)
         big = list(lanes.forks(lambda i: np.arange(i, i + 1_000_000, dtype=np.float64), range(5)))

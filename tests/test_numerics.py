@@ -259,6 +259,27 @@ class TestAdam:
         assert np.array_equal(state.m, m_before)
         assert state.step == 0
 
+    @pytest.mark.parametrize("shape", [(), (7,), (6, 64)])
+    def test_pure_and_byte_equal_to_the_expression(self, rng, shape):
+        params = rng.standard_normal(shape)
+        state = AdamState.for_params(params, lr=0.05)
+        for _ in range(4):
+            grads = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 3)
+            before = [a.tobytes() for a in (params, grads, state.m, state.v)]
+            new, new_state = adam_step(state, params, grads)
+            assert [a.tobytes() for a in (params, grads, state.m, state.v)] == before
+            t = state.step + 1
+            m = 0.9 * state.m + (1.0 - 0.9) * grads
+            v = 0.999 * state.v + (1.0 - 0.999) * grads**2
+            m_hat = m / (1.0 - 0.9**t)
+            v_hat = v / (1.0 - 0.999**t)
+            expect = params - state.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert np.asarray(new).tobytes() == np.asarray(expect).tobytes()
+            assert new_state.m.tobytes() == np.asarray(m).tobytes()
+            assert new_state.v.tobytes() == np.asarray(v).tobytes()
+            assert new_state.step == t
+            params, state = new, new_state
+
     def test_step_counter_advances(self):
         params = np.ones(2)
         state = AdamState.for_params(params, lr=0.01)
